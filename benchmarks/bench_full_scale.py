@@ -10,10 +10,11 @@ Two benches live here:
 
 * :func:`test_scale_sweep_headline` pushes the *node count* an order of
   magnitude past the paper's 10–50 sweep (up to 400 nodes) on the
-  fast-path configuration (``placement_solver="incremental"``, batched
-  deliveries — digest-identical to the slow path, see DESIGN.md §13) and
-  merges the measured cells into ``BENCH_headline.json`` under a
-  ``"scale"`` key.
+  production fast paths (warm-started greedy placement, batched
+  deliveries — digest-identical to the slow references, see DESIGN.md
+  §13) and merges the measured cells into ``BENCH_headline.json`` under
+  a ``"scale"`` key.  Its 5-minute cells sit in the empty-storage
+  transient (EXPERIMENTS.md, "Scale sweep").
 
 * :func:`test_scale_profile_headline` reruns the n=400 cell under the
   continuous sampling profiler (DESIGN.md §14) and merges the top-10
@@ -91,12 +92,11 @@ def test_full_scale_fig4_cell(benchmark, bench_seed):
 
 
 def _scale_cell(node_count: int, seed: int) -> dict:
-    """One seeded scale cell on the fast-path configuration."""
+    """One seeded scale cell."""
     config = replace(
         PAPER_CONFIG,
         data_items_per_minute=SCALE_RATE,
         expected_block_interval=SCALE_BLOCK_INTERVAL,
-        placement_solver="incremental",
     )
     spec = ExperimentSpec(
         node_count=node_count,
@@ -114,7 +114,7 @@ def _scale_cell(node_count: int, seed: int) -> dict:
         "seed": seed,
         "sim_minutes": SCALE_DURATION_MINUTES,
         "items_per_minute": SCALE_RATE,
-        "placement_solver": "incremental",
+        "placement_solver": config.placement_solver,
         "wall_seconds": round(wall_seconds, 1),
         "data_items_produced": metrics.data_items_produced,
         "chain_height": metrics.chain_height(),
@@ -148,7 +148,6 @@ def test_scale_profile_headline(headline_sink, bench_seed):
         PAPER_CONFIG,
         data_items_per_minute=SCALE_RATE,
         expected_block_interval=SCALE_BLOCK_INTERVAL,
-        placement_solver="incremental",
     )
     spec = ExperimentSpec(
         node_count=node_count,

@@ -13,9 +13,11 @@ request floods.  This module gives every receive path in
   typed validation errors raised by deeper checks onto stable, structured
   reason strings for counters and verdicts;
 * **per-peer misbehavior scoring with quarantine**
-  (:class:`AdmissionControl`) — each rejection charges its sender a
-  weighted score; past ``quarantine_threshold`` the peer is quarantined:
-  nothing further is accepted from it and nothing is forwarded to it;
+  (:class:`MisbehaviorLedger`, which :class:`AdmissionControl` extends
+  and the fog tier uses for its super-peers) — each rejection charges its
+  sender a weighted score; past ``quarantine_threshold`` the peer is
+  quarantined: nothing further is accepted from it and nothing is
+  forwarded to it;
 * **equivocation detection** (:class:`EquivocationTracker`) — two
   distinct blocks from one miner at one height near the tip;
 * **rate limiting** (:class:`RateLimiter`) — bounded per-peer inbound
@@ -267,9 +269,23 @@ CHAIN_RATE_WINDOW = 60.0
 
 
 @dataclass
-class AdmissionControl:
-    """One node's rejection counters and peer-misbehavior ledger."""
+class MisbehaviorLedger:
+    """Weighted per-peer misbehavior scores with a quarantine threshold.
 
+    Every charge counts its reason and adds the reason's weight to the
+    peer's score; the charge that lifts a score to
+    ``quarantine_threshold`` quarantines the peer.  Edge nodes keep one
+    per node (:class:`AdmissionControl`), the fog tier one for its
+    super-peers (:func:`repro.federation.fog.fog_ledger`).  Deterministic
+    and side-effect-free: charges draw no randomness and schedule nothing.
+    """
+
+    #: Score per reason; a reason missing from the table weighs 4.
+    weights: Mapping[str, float]
+    #: Obs counter bumped on every charge, plus ``<counter>.<reason>``.
+    counter: str
+    #: Obs counter bumped when a peer is newly quarantined.
+    quarantine_counter: str
     quarantine_threshold: float = 8.0
     #: Total rejections by structured reason.
     rejections: Dict[str, int] = field(default_factory=dict)
@@ -277,6 +293,65 @@ class AdmissionControl:
     scores: Dict[int, float] = field(default_factory=dict)
     #: Peers past the threshold; nothing is accepted from or routed to them.
     quarantined: Set[int] = field(default_factory=set)
+    #: When each peer was quarantined, for charges that carry a clock.
+    quarantined_at: Dict[int, float] = field(default_factory=dict)
+
+    def charge(
+        self, peer: Optional[int], reason: str, now: Optional[float] = None
+    ) -> bool:
+        """Record a rejection attributed to ``peer``.
+
+        Returns True when this rejection newly quarantines the peer.
+        ``peer`` may be ``None``/negative when the sender is unknown —
+        the rejection is still counted, but nobody is charged.
+        """
+        self.rejections[reason] = self.rejections.get(reason, 0) + 1
+        _obs.add(self.counter)
+        _obs.add(f"{self.counter}.{reason}")
+        if peer is None or peer < 0:
+            return False
+        score = self.scores.get(peer, 0.0) + self.weights.get(reason, 4.0)
+        self.scores[peer] = score
+        if peer in self.quarantined or score < self.quarantine_threshold:
+            return False
+        self.quarantined.add(peer)
+        if now is not None:
+            self.quarantined_at[peer] = now
+        _obs.add(self.quarantine_counter)
+        return True
+
+    def is_quarantined(self, peer: int) -> bool:
+        return peer in self.quarantined
+
+    def permitted(self, peers: List[int]) -> List[int]:
+        """Filter a routing candidate list down to non-quarantined peers."""
+        return [p for p in peers if p not in self.quarantined]
+
+    @property
+    def total_rejections(self) -> int:
+        return sum(self.rejections.values())
+
+    def snapshot(self) -> Dict[str, object]:
+        """JSON-ready summary for verdicts and reports."""
+        return {
+            "rejections": dict(sorted(self.rejections.items())),
+            "scores": {str(k): v for k, v in sorted(self.scores.items())},
+            "quarantined": sorted(self.quarantined),
+            "quarantined_at": {
+                str(k): v for k, v in sorted(self.quarantined_at.items())
+            },
+        }
+
+
+@dataclass
+class AdmissionControl(MisbehaviorLedger):
+    """One node's misbehavior ledger plus its inbound-traffic guards."""
+
+    weights: Mapping[str, float] = field(
+        default_factory=lambda: REASON_WEIGHTS, init=False
+    )
+    counter: str = field(default="chaos.rejections", init=False)
+    quarantine_counter: str = field(default="chaos.quarantined", init=False)
     equivocation: EquivocationTracker = field(default_factory=EquivocationTracker)
     request_rate: RateLimiter = field(
         default_factory=lambda: RateLimiter(
@@ -289,37 +364,6 @@ class AdmissionControl:
         )
     )
     signature_cache: Dict[Tuple[bytes, str], bool] = field(default_factory=dict)
-
-    def reject(self, peer: Optional[int], reason: str) -> bool:
-        """Record a rejection attributed to ``peer``.
-
-        Returns True when this rejection newly quarantines the peer.
-        ``peer`` may be ``None``/negative when the sender is unknown —
-        the rejection is still counted, but nobody is charged.
-        """
-        self.rejections[reason] = self.rejections.get(reason, 0) + 1
-        _obs.add("chaos.rejections")
-        _obs.add(f"chaos.rejections.{reason}")
-        if peer is None or peer < 0:
-            return False
-        score = self.scores.get(peer, 0.0) + REASON_WEIGHTS.get(reason, 4.0)
-        self.scores[peer] = score
-        if peer not in self.quarantined and score >= self.quarantine_threshold:
-            self.quarantined.add(peer)
-            _obs.add("chaos.quarantined")
-            return True
-        return False
-
-    def is_quarantined(self, peer: int) -> bool:
-        return peer in self.quarantined
-
-    def permitted(self, peers: List[int]) -> List[int]:
-        """Filter a routing candidate list down to non-quarantined peers."""
-        return [p for p in peers if p not in self.quarantined]
-
-    @property
-    def total_rejections(self) -> int:
-        return sum(self.rejections.values())
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready summary for verdicts and reports."""

@@ -6,8 +6,11 @@ the configured solver, and return the open facilities as the storing nodes.
 
 The allocator is deterministic given the same chain state and topology, so
 the miner's placement decision can be reproduced by any validator.  The
-``random`` solver is the Fig. 5 baseline: it opens as many replicas as the
-optimal solver would have, uniformly at random.
+``greedy`` solver runs the warm-started
+:class:`~repro.facility.incremental.IncrementalUFLSolver`, which returns
+exactly what the from-scratch greedy would.  The ``random`` solver is the
+Fig. 5 baseline: it opens as many replicas as the greedy solution would
+have, uniformly at random.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 from repro.core.config import SystemConfig
 from repro.core.errors import AllocationError
 from repro.facility.costs import build_storage_ufl
-from repro.facility.greedy import solve_greedy
 from repro.facility.incremental import IncrementalUFLSolver
 from repro.facility.local_search import solve_local_search
 from repro.facility.lp_rounding import solve_lp_rounding
@@ -47,8 +49,8 @@ class AllocationEngine:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         #: Count of placements that needed the least-loaded fallback.
         self.fallback_placements = 0
-        #: Warm-started solver state, shared across this cluster's solves.
-        self._incremental: Optional[IncrementalUFLSolver] = None
+        #: Warm-started greedy, shared across this cluster's solves.
+        self.warm_solver = IncrementalUFLSolver()
 
     def build_problem(
         self,
@@ -71,20 +73,18 @@ class AllocationEngine:
     def _solve(self, problem: UFLProblem) -> UFLSolution:
         solver = self.config.placement_solver
         if solver == "greedy":
-            return solve_greedy(problem)
+            return self.warm_solver.solve(problem)
         if solver == "local_search":
             return solve_local_search(problem)
         if solver == "lp_rounding":
             return solve_lp_rounding(problem)
-        if solver == "incremental":
-            if self._incremental is None:
-                self._incremental = IncrementalUFLSolver(base="greedy")
-            return self._incremental.solve(problem)
         if solver == "random":
             # Replica-matched baseline: random placement with the replica
             # count the optimal (greedy) solution would have chosen.
-            optimal = solve_greedy(problem)
-            replicas = self.config.random_replicas or optimal.replica_count
+            replicas = (
+                self.config.random_replicas
+                or self.warm_solver.solve(problem).replica_count
+            )
             replicas = min(replicas, len(problem.openable_facilities()))
             return solve_random(problem, replicas, self._rng)
         raise AllocationError(f"unknown placement solver: {solver}")

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.facility.greedy import solve_greedy
+from repro.facility.incremental import IncrementalUFLSolver
 from repro.facility.problem import UFLProblem, solution_cost_of_open_set
 
 
@@ -118,7 +118,7 @@ def placement_drift(problem: UFLProblem, current_replicas: Sequence[int]) -> flo
     ended up unreachable from some client).
     """
     current_cost = solution_cost_of_open_set(problem, current_replicas)
-    optimal_cost = solve_greedy(problem).total_cost(problem)
+    optimal_cost = IncrementalUFLSolver().solve(problem).total_cost(problem)
     return _ratio(current_cost, optimal_cost)
 
 
@@ -138,7 +138,7 @@ def plan_migration(
     """
     if max_operations < 0:
         raise ValueError("operation budget cannot be negative")
-    optimal_cost = solve_greedy(problem).total_cost(problem)
+    optimal_cost = IncrementalUFLSolver().solve(problem).total_cost(problem)
     current: Set[int] = set(current_replicas)
     initial_cost = solution_cost_of_open_set(problem, current)
     current_cost = initial_cost

@@ -260,7 +260,7 @@ class EdgeNode:
             return None
         reason = foreign_metadata_admissible(item, self.engine.now)
         if reason is not None:
-            self.admission.reject(None, reason)
+            self.admission.charge(None, reason)
             return None
         adopted = rehost_metadata(item, self.account, self.node_id)
         self.counters.data_adopted += 1
@@ -643,7 +643,7 @@ class EdgeNode:
             signature_cache=self.admission.signature_cache,
         )
         if reason is not None:
-            self.admission.reject(source, reason)
+            self.admission.charge(source, reason)
             return
         if self.chain.metadata_of(item.data_id) is not None:
             return
@@ -676,13 +676,13 @@ class EdgeNode:
         reason = block_admissible(block, self.chain.address_of)
         if reason is not None:
             self.counters.blocks_rejected += 1
-            self.admission.reject(source, reason)
+            self.admission.charge(source, reason)
             return
         if self.admission.equivocation.observe(block, self.chain.height):
             # One miner, one height, two distinct blocks: nothing-at-stake
             # equivocation.  The block is dropped and the miner charged.
             self.counters.blocks_rejected += 1
-            self.admission.reject(block.miner, EQUIVOCATION)
+            self.admission.charge(block.miner, EQUIVOCATION)
             return
         tip = self.chain.tip
         if (
@@ -694,7 +694,7 @@ class EdgeNode:
             # Allocation re-derivation uses the *current* topology, which
             # under mobility can lag the miner's view — count the
             # rejection but charge nobody (see DESIGN.md §11).
-            self.admission.reject(None, BAD_ALLOCATION)
+            self.admission.charge(None, BAD_ALLOCATION)
             return
         if block.index == tip.index + 1 and block.previous_hash != tip.current_hash:
             # Fork at the next height: our tip and the miner's parent differ.
@@ -717,7 +717,7 @@ class EdgeNode:
             outcome = self.chain.consider_block(block)
         except ValidationError as error:
             self.counters.blocks_rejected += 1
-            self.admission.reject(source, classify_rejection(error))
+            self.admission.charge(source, classify_rejection(error))
             return
         if outcome is BlockOutcome.APPENDED:
             self._bill_pos_wait()
@@ -801,7 +801,7 @@ class EdgeNode:
                 delivered_by = self.sync.source_of(nxt.index)
                 self.sync.pop(nxt.index)
                 self.counters.blocks_rejected += 1
-                self.admission.reject(delivered_by, classify_rejection(error))
+                self.admission.charge(delivered_by, classify_rejection(error))
                 continue
             except ValidationError:
                 # The recovered block does not build on our chain: we hold a
@@ -834,10 +834,10 @@ class EdgeNode:
 
     def _on_block_request(self, source: int, request: BlockRequest) -> None:
         if len(request.indices) > MAX_REQUEST_INDICES:
-            self.admission.reject(source, FLOOD)
+            self.admission.charge(source, FLOOD)
             return
         if not self.admission.request_rate.allow(source, self.engine.now):
-            self.admission.reject(source, FLOOD)
+            self.admission.charge(source, FLOOD)
             return
         served: List[Block] = []
         unsatisfied: List[int] = []
@@ -886,7 +886,7 @@ class EdgeNode:
 
     def _on_block_response(self, source: int, response: BlockResponse) -> None:
         if len(response.blocks) > MAX_RESPONSE_BLOCKS:
-            self.admission.reject(source, FLOOD)
+            self.admission.charge(source, FLOOD)
             return
         for block in sorted(response.blocks, key=lambda b: b.index):
             if block.index <= self.chain.height:
@@ -896,7 +896,7 @@ class EdgeNode:
                 # Poisoned sync response: drop the block before it ever
                 # enters the recovery buffer, and charge the sender.
                 self.counters.blocks_rejected += 1
-                self.admission.reject(source, reason)
+                self.admission.charge(source, reason)
                 continue
             self.sync.buffer_block(block, source)
         self._drain_sync_buffer()
@@ -905,7 +905,7 @@ class EdgeNode:
         if not self.admission.chain_rate.allow(source, self.engine.now):
             # Whole-chain responses are the heaviest reply a peer can goad
             # us into; cap how often any one peer can ask.
-            self.admission.reject(source, FLOOD)
+            self.admission.charge(source, FLOOD)
             return
         response = ChainResponse(blocks=tuple(self.chain.blocks))
         self.network.send(
@@ -989,7 +989,7 @@ class EdgeNode:
         self._fork_chain_request_at.pop(source, None)
         if not self._chain_allocations_acceptable(response.blocks):
             self.counters.blocks_rejected += 1
-            self.admission.reject(None, BAD_ALLOCATION)
+            self.admission.charge(None, BAD_ALLOCATION)
             return
         old_metadata = dict(self.chain.state.metadata_index)
         try:
@@ -1000,7 +1000,7 @@ class EdgeNode:
             # replayable chain sharing our genesis, and the checkpoint lag
             # keeps honest forks above the rewrite horizon.
             self.counters.blocks_rejected += 1
-            self.admission.reject(source, classify_rejection(error))
+            self.admission.charge(source, classify_rejection(error))
             return
         if replaced:
             if self.sync.recovering:

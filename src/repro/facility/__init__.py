@@ -4,7 +4,9 @@ The paper maps per-item storage placement to Uncapacitated Facility
 Location (Section IV-A-3).  This package provides the instance model, the
 paper's FDC/RDC cost builders, and four solvers:
 
-* :func:`solve_greedy` — dual-fitting greedy (the production default),
+* :func:`solve_greedy` — dual-fitting greedy, the reference for
+  :class:`~repro.facility.incremental.IncrementalUFLSolver` (the
+  warm-started greedy every ``placement_solver="greedy"`` placement runs),
 * :func:`solve_local_search` — add/drop/swap refinement,
 * :func:`solve_lp_rounding` — LP relaxation + deterministic rounding (also
   yields a certified lower bound via :func:`solve_lp_relaxation`),

@@ -6,10 +6,11 @@ changes at mobility epochs or churn events, while the facility costs
 (FDC, Eq. 1) change at a handful of nodes — exactly the facilities the
 previous solve opened.  :class:`IncrementalUFLSolver` exploits that
 structure while staying **bit-identical** to the from-scratch greedy
-(:func:`repro.facility.greedy.solve_greedy`), which is what lets a run
-with ``placement_solver="incremental"`` produce the same chain and
-ledger digests as a ``"greedy"`` run (proven by
-``tests/property/test_fastpath_equivalence.py``).
+(:func:`repro.facility.greedy.solve_greedy`).  That is what lets the
+allocator run it for every ``placement_solver="greedy"`` placement: the
+chain and ledger digests are the ones the from-scratch greedy gives
+(proven by ``tests/property/test_fastpath_equivalence.py``, which keeps
+:func:`solve_greedy` as the reference).
 
 Three reuse layers, all exact:
 
@@ -30,11 +31,9 @@ Three reuse layers, all exact:
 
 A **structural change** (connection matrix shape or contents changed:
 mobility epoch, node offline/online, different cluster) drops every
-cache and rebuilds it for the epoch that follows.  With the default
-greedy base the rebuilt caches immediately serve the solve through the
-same exact warm path (it is bit-identical from a cold cache too); a
-``local_search`` base delegates fresh solves to
-:func:`solve_local_search` instead.
+cache and rebuilds it for the epoch that follows.  The rebuilt caches
+immediately serve the solve through the same exact warm path (it is
+bit-identical from a cold cache too).
 """
 
 from __future__ import annotations
@@ -46,20 +45,11 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.facility.greedy import solve_greedy
-from repro.facility.local_search import solve_local_search
 from repro.facility.problem import UFLProblem, UFLSolution, assign_to_open
 from repro.obs import runtime as _obs
 
 #: Bound on memoised solutions; evicting only costs a re-solve.
 _MEMO_LIMIT = 4096
-
-#: Base solvers the incremental fast path can fall back to.
-_BASE_SOLVERS = {
-    "greedy": solve_greedy,
-    "local_search": solve_local_search,
-}
-
 
 def _matrix_token(matrix: np.ndarray) -> bytes:
     """Cheap identity token for a float matrix (shape + content hash)."""
@@ -70,7 +60,7 @@ def _matrix_token(matrix: np.ndarray) -> bytes:
 
 
 class IncrementalUFLSolver:
-    """Warm-started greedy UFL, digest-identical to the base solver.
+    """Warm-started greedy UFL, digest-identical to :func:`solve_greedy`.
 
     One instance is shared by a whole cluster (the allocator owns it):
     every cached artefact is a pure function of the problem instance, so
@@ -78,16 +68,10 @@ class IncrementalUFLSolver:
     it can never make two nodes disagree.
     """
 
-    def __init__(self, base: str = "greedy"):
-        if base not in _BASE_SOLVERS:
-            raise ValueError(f"unknown incremental base solver: {base}")
-        self.base = base
-        self._base_solve = _BASE_SOLVERS[base]
+    def __init__(self):
         # -- per-connection-matrix state (layer 2) -------------------------
         self._conn_token: Optional[bytes] = None
-        self._conn: Optional[np.ndarray] = None
         self._orders: List[np.ndarray] = []  # stable cost order per facility
-        self._sorted_costs: List[np.ndarray] = []  # finite costs, sorted
         self._prefix: List[np.ndarray] = []  # cumsum of sorted finite costs
         self._finite_counts: List[int] = []
         # -- warm first-round candidates (layer 3) -------------------------
@@ -107,9 +91,7 @@ class IncrementalUFLSolver:
     def _reset_epoch(self, problem: UFLProblem, token: bytes) -> None:
         """Rebuild the per-connection-matrix caches (structural change)."""
         self._conn_token = token
-        self._conn = problem.connection_costs
         self._orders = []
-        self._sorted_costs = []
         self._prefix = []
         self._finite_counts = []
         self._round1 = {}
@@ -124,7 +106,6 @@ class IncrementalUFLSolver:
             finite = int(np.isfinite(row).sum())
             sorted_costs = row[order[:finite]]
             self._orders.append(order)
-            self._sorted_costs.append(sorted_costs)
             self._prefix.append(np.cumsum(sorted_costs))
             self._finite_counts.append(finite)
 
@@ -187,26 +168,17 @@ class IncrementalUFLSolver:
     # ------------------------------------------------------------------ solving
 
     def solve(self, problem: UFLProblem) -> UFLSolution:
-        """Solve ``problem``; the result always equals the base solver's."""
+        """Solve ``problem``; the result always equals :func:`solve_greedy`'s."""
         token = _matrix_token(problem.connection_costs)
         if token != self._conn_token:
             # Structural change: topology moved under us.  Rebuild the
-            # per-matrix caches; with a greedy base the warm path is exact
-            # from a cold cache too (the vectorised rounds mirror the
-            # reference move for move), so only a non-greedy base needs
-            # the from-scratch solver.
+            # per-matrix caches; the warm path is exact from a cold cache
+            # too (the vectorised rounds mirror the reference move for
+            # move).
             self.fallbacks += 1
             if _obs.is_enabled():
                 _obs.add("facility.incremental_fallback")
             self._reset_epoch(problem, token)
-            if self.base == "greedy":
-                solution = self._fast_greedy(problem)
-                self.fast_solves += 1
-            else:
-                solution = self._base_solve(problem)
-            self._memo_put(self._fingerprint(problem), solution)
-            return solution
-
         key = self._fingerprint(problem)
         cached = self._memo_get(key)
         if cached is not None:
@@ -214,14 +186,8 @@ class IncrementalUFLSolver:
             if _obs.is_enabled():
                 _obs.add("facility.incremental_reuse")
             return cached
-
-        if self.base != "greedy":
-            # Local-search moves are not incrementally replayable; keep
-            # the exact-instance memo but delegate fresh solves.
-            solution = self._base_solve(problem)
-        else:
-            solution = self._fast_greedy(problem)
-            self.fast_solves += 1
+        solution = self._fast_greedy(problem)
+        self.fast_solves += 1
         self._memo_put(key, solution)
         return solution
 

@@ -40,10 +40,10 @@ from repro.federation.chaos import (
 from repro.federation.directory import BloomFilter, ClusterSummary, DirectoryReplica
 from repro.federation.fog import (
     CrossLookupDriver,
-    FogAdmission,
     FogCounters,
     FogTier,
     SuperPeer,
+    fog_ledger,
 )
 from repro.federation.runner import (
     FederationResult,
@@ -78,7 +78,6 @@ __all__ = [
     "FederationRuntime",
     "FederationSpec",
     "FederationSpecError",
-    "FogAdmission",
     "FogAdversaryPeer",
     "FogCounters",
     "FogTier",
@@ -94,6 +93,7 @@ __all__ = [
     "compute_federated_verdict",
     "compute_fog_section",
     "derived_seed",
+    "fog_ledger",
     "resume_federation",
     "run_federated_chaos",
     "run_federation",

@@ -24,7 +24,7 @@ cross-check a served entry's checkpoint digest against the candidate's
 actual chain.  Misbehavior — bad attestations, digest mismatches on
 probe, home entries left stale beyond the freshness horizon, rejected
 migration pushes — charges the responsible super-peer on a shared
-:class:`FogAdmission` ledger; past the threshold the peer is
+:func:`fog_ledger`; past the threshold the peer is
 **quarantined** and its home clusters **re-home** to a deterministic
 sibling that rebuilds their directory entries from scratch.
 
@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.account import derive_address
-from repro.core.admission import FOREIGN_METADATA
+from repro.core.admission import FOREIGN_METADATA, MisbehaviorLedger
 from repro.core.metadata import MetadataItem
 from repro.crypto.keys import PublicKey
 from repro.crypto.signature import Signature, verify
@@ -118,52 +118,18 @@ class FogCounters:
     rehomed_clusters: int = 0
 
 
-@dataclass
-class FogAdmission:
-    """Shared misbehavior ledger over the fog tier's super-peers.
+def fog_ledger() -> MisbehaviorLedger:
+    """The fog tier's shared ledger over its super-peers.
 
-    The fog analogue of :class:`repro.core.admission.AdmissionControl`:
-    every detected violation charges the responsible peer a weighted
-    score; past ``quarantine_threshold`` the peer is quarantined —
-    excluded from gossip, lookups, and homing.  Deterministic and
-    side-effect-free: charges draw no randomness and schedule nothing.
+    A charged peer past the threshold is quarantined — excluded from
+    gossip, lookups, and homing — at the simulated time of the charge.
     """
-
-    quarantine_threshold: float = FOG_QUARANTINE_THRESHOLD
-    rejections: Dict[str, int] = field(default_factory=dict)
-    scores: Dict[int, float] = field(default_factory=dict)
-    quarantined: Set[int] = field(default_factory=set)
-    quarantined_at: Dict[int, float] = field(default_factory=dict)
-
-    def charge(self, peer_id: int, reason: str, now: float) -> bool:
-        """Charge ``peer_id``; True when this newly quarantines it."""
-        self.rejections[reason] = self.rejections.get(reason, 0) + 1
-        _obs.add("fog.charges")
-        _obs.add(f"fog.charges.{reason}")
-        score = self.scores.get(peer_id, 0.0) + FOG_REASON_WEIGHTS.get(reason, 4.0)
-        self.scores[peer_id] = score
-        if (
-            peer_id not in self.quarantined
-            and score >= self.quarantine_threshold
-        ):
-            self.quarantined.add(peer_id)
-            self.quarantined_at[peer_id] = now
-            return True
-        return False
-
-    def is_quarantined(self, peer_id: int) -> bool:
-        return peer_id in self.quarantined
-
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-ready summary for verdicts and reports."""
-        return {
-            "rejections": dict(sorted(self.rejections.items())),
-            "scores": {str(k): v for k, v in sorted(self.scores.items())},
-            "quarantined": sorted(self.quarantined),
-            "quarantined_at": {
-                str(k): v for k, v in sorted(self.quarantined_at.items())
-            },
-        }
+    return MisbehaviorLedger(
+        weights=FOG_REASON_WEIGHTS,
+        counter="fog.charges",
+        quarantine_counter="fog.quarantined",
+        quarantine_threshold=FOG_QUARANTINE_THRESHOLD,
+    )
 
 
 class SuperPeer:
@@ -264,7 +230,7 @@ class FogTier:
         self.spec = spec
         self.domains = domains  # List[ClusterDomain]; duck-typed to avoid a cycle
         self.counters = FogCounters()
-        self.admission = FogAdmission()
+        self.admission = fog_ledger()
         self.peers: List[SuperPeer] = []
         for peer_id in range(spec.super_peer_count):
             peer_seed = derived_seed(spec.seed, "fog-peer", peer_id)
@@ -502,7 +468,6 @@ class FogTier:
         fresh honest entry wins the monotone merge everywhere.
         """
         self.counters.quarantines += 1
-        _obs.add("fog.quarantined")
         peer = self.peers[peer_id]
         rebuilt: Set[int] = set()
         for cluster_id in list(peer.home_clusters):

@@ -14,7 +14,10 @@ is the single home for that boilerplate:
 * :func:`fixed_seed_run` — a full seeded experiment, memoised per
   ``cache_scope`` so a module's tests can share one multi-second run the
   way module-scoped fixtures used to, without re-declaring the fixture
-  everywhere.
+  everywhere;
+* :func:`reference_paths` — swaps the production fast paths for the slow
+  references they must match (cold :func:`solve_greedy` placement and
+  one event-queue entry per delivery), for the differential suite.
 
 The ``make_cluster`` / ``fixed_seed_run`` conftest fixtures re-export
 these for tests that prefer fixture injection over imports.
@@ -22,11 +25,16 @@ these for tests that prefer fixture injection over imports.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, Optional, Tuple
+
+import pytest
 
 from repro.core.config import PAPER_CONFIG, SystemConfig
 from repro.core.pow import pow_difficulty_for
+from repro.facility.greedy import solve_greedy
+from repro.facility.incremental import IncrementalUFLSolver
 from repro.raft.cluster import RaftCluster
 from repro.sim.cluster import EdgeCluster, build_cluster
 from repro.sim.runner import (
@@ -135,9 +143,8 @@ def digest_run(
 ) -> Tuple[str, str, Optional[dict]]:
     """One seeded run's full fingerprint: chain digest, ledger digest, verdict.
 
-    The differential fast-path harness runs the same scenario through two
-    configurations (e.g. ``placement_solver="greedy"`` vs
-    ``"incremental"``, ``batch_deliveries`` on vs off) and asserts the
+    The differential fast-path harness runs the same scenario on the
+    production paths and inside :func:`reference_paths`, and asserts the
     triples are equal — digest equality pins every block, placement, and
     balance; verdict equality pins the sampled protocol timeline the
     monitors watched.  Observability is enabled around the run (it is
@@ -210,3 +217,43 @@ def fixed_seed_run(
     if key not in _RUN_CACHE:
         _RUN_CACHE[key] = run_experiment(spec)
     return _RUN_CACHE[key]
+
+
+@dataclass
+class ReferenceCounts:
+    """How much work :func:`reference_paths` routed through the references."""
+
+    #: Placements solved by the cold :func:`solve_greedy`.
+    cold_solves: int = 0
+    #: Deliveries posted as their own event-queue entry.
+    unbatched_deliveries: int = 0
+
+
+@contextmanager
+def reference_paths() -> Iterator[ReferenceCounts]:
+    """Run the slow reference paths in place of the production fast paths.
+
+    * Placement: :meth:`IncrementalUFLSolver.solve` becomes a cold
+      :func:`solve_greedy` call, with no cache of any kind.
+    * Delivery: :meth:`EventEngine.call_at_batch` posts one heap entry per
+      call, as N :meth:`EventEngine.call_at` calls would.  Its handle
+      covers the first call only; production fan-outs never cancel.
+
+    The yielded counts let a test assert that each reference really ran,
+    so a differential test cannot pass by comparing a path with itself.
+    """
+    counts = ReferenceCounts()
+
+    def cold_solve(self, problem):
+        counts.cold_solves += 1
+        return solve_greedy(problem)
+
+    def unbatched(self, when, calls):
+        handles = [self.call_at(when, callback, *args) for callback, args in calls]
+        counts.unbatched_deliveries += len(handles)
+        return handles[0]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IncrementalUFLSolver, "solve", cold_solve)
+        patch.setattr(EventEngine, "call_at_batch", unbatched)
+        yield counts

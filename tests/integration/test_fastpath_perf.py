@@ -71,7 +71,7 @@ def test_incremental_replay_is_5x_faster_than_greedy():
     solve_greedy(problems[0])
     greedy_time, greedy_solutions = _timed(solve_greedy, problems)
 
-    incremental = IncrementalUFLSolver(base="greedy")
+    incremental = IncrementalUFLSolver()
     incremental.solve(problems[0])  # warm the epoch caches once
     fast_time, fast_solutions = _timed(incremental.solve, problems)
 

@@ -22,6 +22,8 @@ from repro.persist.resume import (
     MANIFEST_NAME,
     METRICS_NAME,
     STORE_NAME,
+    spec_from_dict,
+    spec_to_dict,
 )
 from repro.sim.runner import ChurnSpec, ExperimentSpec, run_experiment
 
@@ -137,6 +139,28 @@ class TestKillAndResume:
     def test_completed_run_refuses_resume(self, tmp_path):
         run_persistent(small_spec(), tmp_path / "run", persist=FAST_PERSIST)
         with pytest.raises(PersistError, match="already completed"):
+            resume_run(tmp_path / "run")
+
+    def test_retired_config_key_refuses_resume(self, tmp_path):
+        # A run directory written while SystemConfig still had the
+        # ``batch_deliveries`` knob: resume refuses it and names the key.
+        payload = spec_to_dict(small_spec())
+        payload["config"]["batch_deliveries"] = True
+        with pytest.raises(
+            PersistError, match="malformed experiment spec.*batch_deliveries"
+        ):
+            spec_from_dict(payload)
+        run_persistent(
+            small_spec(),
+            tmp_path / "run",
+            persist=FAST_PERSIST,
+            stop_after_seconds=400.0,
+        )
+        manifest_path = tmp_path / "run" / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["spec"]["config"]["batch_deliveries"] = True
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(PersistError, match="batch_deliveries"):
             resume_run(tmp_path / "run")
 
     def test_corrupt_journal_refuses_resume(self, tmp_path):

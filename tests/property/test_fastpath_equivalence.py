@@ -19,12 +19,18 @@ Layers:
 * **PoS** — exact-integer ``mining_delay`` vs the Fraction reference, and
   the batched lottery vs scalar loops, including >2⁵³ hits.
 * **End to end** — seeded scenarios (steady state, fast mobility, churn)
-  run with every fast path on vs every fast path off.
+  run on the production paths vs inside
+  :func:`tests.helpers.reference_paths` (cold greedy placement, one
+  queue entry per delivery).
+
+The slow placement and delivery paths exist only here and in
+:mod:`tests.helpers`; the program always runs the fast ones.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 
 import networkx as nx
 import numpy as np
@@ -49,7 +55,7 @@ from repro.simnet.engine import EventEngine
 from repro.simnet.gossip import GossipFabric
 from repro.simnet.topology import Position, Topology, random_positions
 from repro.simnet.transport import Network
-from tests.helpers import digest_run
+from tests.helpers import digest_run, reference_paths
 
 pytestmark = pytest.mark.fastpath
 
@@ -271,25 +277,28 @@ class TestBatchedDeliveryEquivalence:
     )
     def test_broadcast_batched_equals_unbatched(self, seed, n):
         outcomes = []
-        for batched in (False, True):
-            engine = EventEngine(seed=seed)
-            positions = random_positions(n, engine.np_rng)
-            topology = Topology(positions)
-            network = Network(
-                engine,
-                topology,
-                ChannelModel(loss_probability=0.05),
-                batch_deliveries=batched,
-            )
-            deliveries = []
-            for node in range(n):
-                network.register(
-                    node,
-                    lambda s, p, c, node=node: deliveries.append((engine.now, node, p)),
+        for reference in (reference_paths(), nullcontext()):
+            with reference as counts:
+                engine = EventEngine(seed=seed)
+                positions = random_positions(n, engine.np_rng)
+                topology = Topology(positions)
+                network = Network(
+                    engine, topology, ChannelModel(loss_probability=0.05)
                 )
-            network.broadcast(0, "blk", 1000, "block")
-            network.send(0, n - 1, "uni", 500, "item") if n > 1 else None
-            engine.run()
+                deliveries = []
+                for node in range(n):
+                    network.register(
+                        node,
+                        lambda s, p, c, node=node: deliveries.append(
+                            (engine.now, node, p)
+                        ),
+                    )
+                reached = network.broadcast(0, "blk", 1000, "block")
+                network.send(0, n - 1, "uni", 500, "item") if n > 1 else None
+                engine.run()
+            if counts is not None:
+                # Every broadcast delivery went through the reference.
+                assert counts.unbatched_deliveries == reached
             outcomes.append(
                 (deliveries, network.snapshot(), engine.np_rng.random())
             )
@@ -305,22 +314,23 @@ class TestBatchedDeliveryEquivalence:
     )
     def test_gossip_batched_equals_unbatched(self, seed, n):
         outcomes = []
-        for batched in (False, True):
-            engine = EventEngine(seed=seed)
-            positions = random_positions(n, engine.np_rng)
-            topology = Topology(positions)
-            fabric = GossipFabric(
-                engine,
-                topology,
-                ChannelModel(loss_probability=0.1),
-                batch_deliveries=batched,
-            )
-            receipts = []
-            fabric.on_receive(
-                lambda node, origin, payload: receipts.append((engine.now, node))
-            )
-            message_id = fabric.originate(0, "gossip", 800, "item")
-            engine.run()
+        for reference in (reference_paths(), nullcontext()):
+            with reference as counts:
+                engine = EventEngine(seed=seed)
+                positions = random_positions(n, engine.np_rng)
+                topology = Topology(positions)
+                fabric = GossipFabric(
+                    engine, topology, ChannelModel(loss_probability=0.1)
+                )
+                receipts = []
+                fabric.on_receive(
+                    lambda node, origin, payload: receipts.append((engine.now, node))
+                )
+                message_id = fabric.originate(0, "gossip", 800, "item")
+                engine.run()
+            if counts is not None:
+                # Each first receipt was one of the reference's deliveries.
+                assert counts.unbatched_deliveries >= len(receipts)
             outcomes.append(
                 (
                     receipts,
@@ -418,12 +428,12 @@ class TestEndToEndDigestEquivalence:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_fastpath_run_is_digest_identical(self, name):
         spec = SCENARIOS[name]
-        slow = digest_run(
-            placement_solver="greedy", batch_deliveries=False, **spec
-        )
-        fast = digest_run(
-            placement_solver="incremental", batch_deliveries=True, **spec
-        )
+        with reference_paths() as reference:
+            slow = digest_run(**spec)
+        # Both references really ran: the comparison is not fast vs fast.
+        assert reference.cold_solves > 0
+        assert reference.unbatched_deliveries > 0
+        fast = digest_run(**spec)
         assert fast[0] == slow[0], f"{name}: chain digests diverged"
         assert fast[1] == slow[1], f"{name}: ledger digests diverged"
         assert fast[2] == slow[2], f"{name}: monitor verdicts diverged"

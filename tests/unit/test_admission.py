@@ -1,6 +1,8 @@
 """Unit tests for typed admission control (repro.core.admission)."""
 
 import dataclasses
+import json
+import math
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.core.admission import (
     REASON_WEIGHTS,
     AdmissionControl,
     EquivocationTracker,
+    MisbehaviorLedger,
     RateLimiter,
     block_admissible,
     classify_rejection,
@@ -34,6 +37,14 @@ from repro.core.errors import (
     ValidationError,
 )
 from repro.core.metadata import create_metadata
+from repro.federation.fog import (
+    FOG_BAD_ATTESTATION,
+    FOG_QUARANTINE_THRESHOLD,
+    FOG_REASON_WEIGHTS,
+    FOG_STALE_HOME,
+    fog_ledger,
+)
+from repro.obs import disable, enable
 
 
 @pytest.fixture
@@ -211,53 +222,132 @@ class TestRateLimiter:
         assert not limiter.allow(1, 1.0)
 
 
+#: The two users of the one misbehavior ledger: an edge node's admission
+#: control and the fog tier's super-peer ledger.  Each keeps its own
+#: weight table, threshold, obs counter names and snapshot shape.
+LEDGER_SIDES = {
+    "node": dict(
+        make=AdmissionControl,
+        weights=REASON_WEIGHTS,
+        threshold=8.0,
+        heavy=BAD_HASH,
+        light=FLOOD,
+        counter="chaos.rejections",
+        quarantine_counter="chaos.quarantined",
+        snapshot_charges=((2, EQUIVOCATION), (9, FLOOD)),
+        snapshot=(
+            '{"rejections": {"equivocation": 1, "flood": 1}, '
+            '"total_rejections": 2, "scores": {"2": 10.0, "9": 1.0}, '
+            '"quarantined": [2]}'
+        ),
+    ),
+    "fog": dict(
+        make=fog_ledger,
+        weights=FOG_REASON_WEIGHTS,
+        threshold=FOG_QUARANTINE_THRESHOLD,
+        heavy=FOG_BAD_ATTESTATION,
+        light=FOG_STALE_HOME,
+        counter="fog.charges",
+        quarantine_counter="fog.quarantined",
+        snapshot_charges=(
+            (0, FOG_BAD_ATTESTATION),
+            (0, FOG_BAD_ATTESTATION),
+            (1, FOG_STALE_HOME),
+        ),
+        snapshot=(
+            '{"rejections": {"bad_attestation": 2, "stale_home": 1}, '
+            '"scores": {"0": 8.0, "1": 2.0}, "quarantined": [0], '
+            '"quarantined_at": {"0": 2.0}}'
+        ),
+    ),
+}
+
+
 class TestAdmissionControl:
+    """The misbehavior ledger, checked on each side that uses it."""
+
+    def test_each_side_keeps_its_weights_and_threshold(self):
+        for name, side in LEDGER_SIDES.items():
+            ledger = side["make"]()
+            assert isinstance(ledger, MisbehaviorLedger), name
+            assert ledger.weights is side["weights"], name
+            assert ledger.quarantine_threshold == side["threshold"], name
+
     def test_rejections_counted_by_reason(self):
-        control = AdmissionControl()
-        control.reject(3, BAD_HASH)
-        control.reject(3, BAD_HASH)
-        control.reject(4, FLOOD)
-        assert control.rejections == {BAD_HASH: 2, FLOOD: 1}
-        assert control.total_rejections == 3
+        for name, side in LEDGER_SIDES.items():
+            ledger = side["make"]()
+            ledger.charge(3, side["heavy"], 1.0)
+            ledger.charge(3, side["heavy"], 1.0)
+            ledger.charge(4, side["light"], 1.0)
+            assert ledger.rejections == {side["heavy"]: 2, side["light"]: 1}, name
+            assert ledger.total_rejections == 3, name
 
     def test_scores_accumulate_to_quarantine(self):
-        control = AdmissionControl(quarantine_threshold=8.0)
-        assert control.reject(3, BAD_HASH) is False  # score 4
-        assert control.reject(3, BAD_POS) is True  # score 8 -> quarantined
-        assert control.is_quarantined(3)
-        # Already quarantined: further rejections do not re-announce.
-        assert control.reject(3, BAD_HASH) is False
+        for name, side in LEDGER_SIDES.items():
+            ledger = side["make"]()
+            assert ledger.charge(3, side["heavy"], 1.0) is False, name  # score 4
+            assert ledger.charge(3, side["heavy"], 2.0) is True, name  # 8: quarantined
+            assert ledger.is_quarantined(3), name
+            # Already quarantined: further charges score but do not
+            # re-announce, and the quarantine time stays the first one.
+            assert ledger.charge(3, side["heavy"], 3.0) is False, name
+            assert ledger.scores == {3: 12.0}, name
+            assert ledger.quarantined_at == {3: 2.0}, name
 
     def test_equivocation_quarantines_immediately(self):
         control = AdmissionControl(quarantine_threshold=8.0)
-        assert control.reject(5, EQUIVOCATION) is True
+        assert control.charge(5, EQUIVOCATION) is True
 
     def test_floods_need_a_sustained_storm(self):
-        control = AdmissionControl(quarantine_threshold=8.0)
-        flags = [control.reject(6, FLOOD) for _ in range(8)]
-        assert flags == [False] * 7 + [True]
+        for name, side in LEDGER_SIDES.items():
+            ledger = side["make"]()
+            needed = math.ceil(side["threshold"] / side["weights"][side["light"]])
+            flags = [ledger.charge(6, side["light"], 0.0) for _ in range(needed)]
+            assert needed > 2, name
+            assert flags == [False] * (needed - 1) + [True], name
+
+    def test_quarantine_without_a_clock_is_untimed(self):
+        for name, side in LEDGER_SIDES.items():
+            ledger = side["make"]()
+            ledger.charge(0, side["heavy"])
+            assert ledger.charge(0, side["heavy"]), name
+            assert ledger.quarantined == {0}, name
+            assert ledger.quarantined_at == {}, name
 
     def test_unattributed_rejection_charges_nobody(self):
-        control = AdmissionControl()
-        assert control.reject(None, BAD_POS) is False
-        assert control.reject(-1, BAD_POS) is False
-        assert control.rejections == {BAD_POS: 2}
-        assert control.scores == {}
-        assert control.quarantined == set()
+        for name, side in LEDGER_SIDES.items():
+            ledger = side["make"]()
+            assert ledger.charge(None, side["heavy"]) is False, name
+            assert ledger.charge(-1, side["heavy"]) is False, name
+            assert ledger.rejections == {side["heavy"]: 2}, name
+            assert ledger.scores == {}, name
+            assert ledger.quarantined == set(), name
 
     def test_permitted_filters_quarantined_peers(self):
-        control = AdmissionControl()
-        control.reject(2, EQUIVOCATION)
-        assert control.permitted([1, 2, 3]) == [1, 3]
+        for name, side in LEDGER_SIDES.items():
+            ledger = side["make"]()
+            ledger.charge(2, side["heavy"], 0.0)
+            ledger.charge(2, side["heavy"], 0.0)
+            assert ledger.permitted([1, 2, 3]) == [1, 3], name
 
     def test_snapshot_is_json_ready(self):
-        control = AdmissionControl()
-        control.reject(2, EQUIVOCATION)
-        control.reject(9, FLOOD)
-        snapshot = control.snapshot()
-        assert snapshot == {
-            "rejections": {EQUIVOCATION: 1, FLOOD: 1},
-            "total_rejections": 2,
-            "scores": {"2": 10.0, "9": 1.0},
-            "quarantined": [2],
-        }
+        for name, side in LEDGER_SIDES.items():
+            ledger = side["make"]()
+            for when, (peer, reason) in enumerate(side["snapshot_charges"], 1):
+                ledger.charge(peer, reason, float(when))
+            assert json.dumps(ledger.snapshot()) == side["snapshot"], name
+
+    def test_obs_counter_names(self):
+        for name, side in LEDGER_SIDES.items():
+            session = enable()
+            try:
+                ledger = side["make"]()
+                ledger.charge(0, side["heavy"], 1.0)
+                ledger.charge(0, side["heavy"], 2.0)
+                metrics = session.metrics
+                counter = side["counter"]
+                assert metrics.counter(counter).value == 2, name
+                assert metrics.counter(f"{counter}.{side['heavy']}").value == 2, name
+                assert metrics.counter(side["quarantine_counter"]).value == 1, name
+            finally:
+                disable()

@@ -23,8 +23,8 @@ from repro.federation.fog import (
     LOOKUP_MAX_RETRIES,
     LOOKUP_RETRY_SECONDS,
     CrossLookupDriver,
-    FogAdmission,
     FogCounters,
+    fog_ledger,
 )
 from repro.federation.runtime import build_federation_runtime
 from repro.federation.spec import FederationSpec, FederationSpecError
@@ -99,27 +99,27 @@ class TestAttestation:
 
 class TestFogAdmission:
     def test_heavy_reasons_quarantine_at_two(self):
-        ledger = FogAdmission()
+        ledger = fog_ledger()
         assert not ledger.charge(0, FOG_BAD_ATTESTATION, 1.0)
         assert ledger.charge(0, FOG_BAD_ATTESTATION, 2.0)
         assert ledger.is_quarantined(0)
         assert ledger.quarantined_at[0] == 2.0
 
     def test_stale_charges_accrue_slowly(self):
-        ledger = FogAdmission()
+        ledger = fog_ledger()
         for _ in range(3):
             assert not ledger.charge(1, FOG_STALE_HOME, 0.0)
         assert ledger.charge(1, FOG_STALE_HOME, 10.0)
 
     def test_charges_after_quarantine_do_not_requarantine(self):
-        ledger = FogAdmission()
+        ledger = fog_ledger()
         ledger.charge(0, FOG_BAD_ATTESTATION, 1.0)
         ledger.charge(0, FOG_BAD_ATTESTATION, 2.0)
         assert not ledger.charge(0, FOG_BAD_ATTESTATION, 3.0)
         assert ledger.quarantined_at[0] == 2.0
 
     def test_snapshot_shape(self):
-        ledger = FogAdmission()
+        ledger = fog_ledger()
         ledger.charge(0, FOG_BAD_ATTESTATION, 1.0)
         snap = ledger.snapshot()
         assert snap["rejections"] == {FOG_BAD_ATTESTATION: 1}
