@@ -16,8 +16,9 @@ quarantined, and a quarantined peer's home clusters fail over to a
 deterministic sibling.  :mod:`repro.federation.adversaries` holds the
 fog-tier adversary catalogue the chaos harness runs against it.
 
-Entry points: ``repro fed run`` / ``repro fed resume`` / ``repro fed
-chaos`` on the CLI, :func:`run_federation` and friends here.
+Entry points: ``repro run --clusters K`` (durable with ``--persist DIR``,
+continued by ``repro resume DIR``) and ``repro fed chaos`` on the CLI,
+:func:`run_federation` and friends here.
 """
 
 from repro.federation.adversaries import (
@@ -47,9 +48,7 @@ from repro.federation.fog import (
 )
 from repro.federation.runner import (
     FederationResult,
-    advance_federation,
     collect_federation_metrics,
-    resume_federation,
     run_federation,
 )
 from repro.federation.runtime import (
@@ -86,7 +85,6 @@ __all__ = [
     "SummaryPoisonerPeer",
     "SuperPeer",
     "VersionInflatorPeer",
-    "advance_federation",
     "build_federation_runtime",
     "cluster_seed",
     "collect_federation_metrics",
@@ -94,7 +92,6 @@ __all__ = [
     "compute_fog_section",
     "derived_seed",
     "fog_ledger",
-    "resume_federation",
     "run_federated_chaos",
     "run_federation",
     "windowed_fog_class",

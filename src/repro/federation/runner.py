@@ -1,29 +1,22 @@
-"""Run, checkpoint, resume, and measure federated experiments.
+"""Run and measure federated experiments.
 
-The federated analogue of :func:`repro.sim.runner.run_experiment` plus
-the durable path: with ``persist_dir`` set, the runtime is snapshotted on
-a fixed cadence through :mod:`repro.persist.snapshot` (which understands
-federated runtimes), so ``repro fed resume`` continues a killed run from
-its last checkpoint with per-cluster digests intact.
+The federated analogue of :func:`repro.sim.runner.run_experiment`.  The
+durable form goes through the one durable driver,
+:func:`repro.persist.run_persistent` / :func:`repro.persist.resume_run`,
+which journals every cluster's chain and snapshots the whole federation
+(``repro run --clusters K --persist DIR`` / ``repro resume DIR``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List
 
-from repro.core.errors import PersistError
 from repro.federation.runtime import FederationRuntime, build_federation_runtime
 from repro.federation.spec import FederationSpec
 from repro.metrics.collector import RunMetrics
 from repro.obs import runtime as _obs
 from repro.sim.runner import collect_metrics
-
-PathLike = Union[str, Path]
-
-#: Default simulated seconds between durable snapshots of a federation.
-DEFAULT_SNAPSHOT_SECONDS = 120.0
 
 
 @dataclass
@@ -140,84 +133,11 @@ def collect_federation_metrics(runtime: FederationRuntime) -> FederationResult:
         )
 
 
-def advance_federation(
-    runtime: FederationRuntime,
-    persist_dir: Optional[PathLike] = None,
-    snapshot_every_seconds: float = DEFAULT_SNAPSHOT_SECONDS,
-    stop_after_seconds: Optional[float] = None,
-) -> FederationResult:
-    """Advance to the duration (or ``stop_after_seconds``), then measure.
-
-    With ``persist_dir``, the run advances in snapshot-cadence segments
-    and checkpoints after each — a kill at any point loses at most one
-    segment, and :func:`resume_federation` picks up from the newest
-    snapshot.
-    """
-    duration = runtime.spec.duration_seconds
-    target = (
-        duration
-        if stop_after_seconds is None
-        else min(duration, stop_after_seconds)
-    )
-    with _obs.span("fed.simulate", "fed", target_seconds=target):
-        if persist_dir is None:
-            runtime.engine.run_until(target)
-        else:
-            from repro.persist.snapshot import write_snapshot
-
-            if snapshot_every_seconds <= 0:
-                raise ValueError("snapshot cadence must be positive")
-            root = Path(persist_dir)
-            root.mkdir(parents=True, exist_ok=True)
-            while runtime.engine.now < target:
-                segment_end = min(
-                    runtime.engine.now + snapshot_every_seconds, target
-                )
-                runtime.engine.run_until(segment_end)
-                write_snapshot(root, runtime)
-    return collect_federation_metrics(runtime)
-
-
-def run_federation(
-    spec: FederationSpec,
-    persist_dir: Optional[PathLike] = None,
-    snapshot_every_seconds: float = DEFAULT_SNAPSHOT_SECONDS,
-    stop_after_seconds: Optional[float] = None,
-) -> FederationResult:
+def run_federation(spec: FederationSpec) -> FederationResult:
     """Build, run, and measure one federated experiment."""
     runtime = build_federation_runtime(spec)
-    return advance_federation(
-        runtime,
-        persist_dir=persist_dir,
-        snapshot_every_seconds=snapshot_every_seconds,
-        stop_after_seconds=stop_after_seconds,
-    )
-
-
-def resume_federation(
-    directory: PathLike,
-    snapshot_every_seconds: float = DEFAULT_SNAPSHOT_SECONDS,
-    stop_after_seconds: Optional[float] = None,
-) -> FederationResult:
-    """Continue a killed federated run from its newest valid snapshot."""
-    from repro.persist.snapshot import load_latest_snapshot
-
-    runtime, info, skipped = load_latest_snapshot(directory)
-    if runtime is None:
-        raise PersistError(
-            f"no usable snapshot in {directory}"
-            + (f" (skipped: {'; '.join(skipped)})" if skipped else "")
-        )
-    if not isinstance(runtime, FederationRuntime):
-        raise PersistError(
-            f"snapshot {info.path if info else directory} is not a federated run "
-            "(use `repro resume` for single-cluster runs)"
-        )
-    _obs.set_sim_clock(runtime.engine.clock_reader())
-    _obs.attach_runtime(runtime)
-    return advance_federation(
-        runtime,
-        persist_dir=directory,
-        snapshot_every_seconds=snapshot_every_seconds,
-        stop_after_seconds=stop_after_seconds,
-    )
+    with _obs.span(
+        "fed.simulate", "fed", target_seconds=spec.duration_seconds
+    ):
+        runtime.engine.run_until(spec.duration_seconds)
+    return collect_federation_metrics(runtime)

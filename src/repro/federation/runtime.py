@@ -21,9 +21,10 @@ The run has two phases: SWIM-only formation until
 ``membership_window_seconds``, then a :class:`_FormationGate` event
 verifies each cluster's membership view converged, stops SWIM, and arms
 chains, Raft, the fog directory, and (implicitly, by schedule offset)
-the workload.  The whole object graph is picklable, so
-:mod:`repro.persist.snapshot` checkpoints a federation exactly like a
-single cluster.
+the workload.  The whole object graph is picklable and exposes the same
+runtime members as :class:`~repro.sim.runner.SimRuntime`, so
+:mod:`repro.persist` journals and checkpoints a federation exactly like
+a single cluster.
 """
 
 from __future__ import annotations
@@ -49,15 +50,9 @@ from repro.membership.messages import MemberStatus
 from repro.obs import runtime as _obs
 from repro.raft.cluster import RaftCluster
 from repro.sim.cluster import EdgeCluster, build_cluster
-from repro.sim.runner import (
-    SimRuntime,
-    _MobilityDriver,
-    _ReconnectHook,
-    attach_workload,
-)
+from repro.sim.runner import SimRuntime, wire_runtime
 from repro.simnet.channel import ChannelModel
 from repro.simnet.engine import EventEngine
-from repro.simnet.faults import ChurnInjector
 from repro.simnet.transport import Network
 
 
@@ -141,7 +136,7 @@ class FederationRuntime:
     def directory_digest(self) -> str:
         return self.fog.directory_digest()
 
-    # -- snapshot card interface (duck-called by repro.persist.snapshot) --------
+    # -- snapshot card (read by repro.persist.snapshot) ----------------------------
 
     def snapshot_height(self) -> int:
         return max(
@@ -251,57 +246,18 @@ def _build_domain(
             heartbeat_interval=FED_RAFT_HEARTBEAT_SECONDS,
         )
 
-    # Workload: held back until the formation window closes, sourced from
-    # a cluster-private generator.
-    workload_rng = np.random.default_rng(
-        derived_seed(spec.seed, "workload", cluster_id)
-    )
-    production, requests = attach_workload(
+    # Workload: held back until the formation window closes; workload and
+    # churn draw from cluster-private generators; mining waits for the
+    # formation gate.
+    runtime = wire_runtime(
         cluster,
         cluster_spec,
-        rng=workload_rng,
+        workload_rng=np.random.default_rng(
+            derived_seed(spec.seed, "workload", cluster_id)
+        ),
+        churn_rng=np.random.default_rng(derived_seed(spec.seed, "churn", cluster_id)),
         start_at=spec.membership_window_seconds,
-    )
-
-    mobility: Optional[_MobilityDriver] = None
-    if cluster_spec.mobility_epoch_minutes > 0:
-        mobility = _MobilityDriver(
-            cluster,
-            cluster_spec.mobility_epoch_minutes * 60.0,
-            spec.duration_seconds,
-        )
-        mobility.start()
-
-    injector: Optional[ChurnInjector] = None
-    if cluster_spec.churn is not None:
-        churn_rng = np.random.default_rng(
-            derived_seed(spec.seed, "churn", cluster_id)
-        )
-        churned_count = int(
-            round(cluster_spec.churn.node_fraction * cluster_spec.node_count)
-        )
-        churned_nodes = list(
-            churn_rng.choice(
-                cluster_spec.node_count, size=churned_count, replace=False
-            )
-        )
-        injector = ChurnInjector(
-            engine, cluster.network, on_up=_ReconnectHook(cluster)
-        )
-        injector.plan_random(
-            node_ids=[int(n) for n in churned_nodes],
-            horizon=spec.duration_seconds * 0.9,
-            mean_downtime=cluster_spec.churn.mean_downtime_seconds,
-            events_per_node=cluster_spec.churn.events_per_node,
-        )
-
-    runtime = SimRuntime(
-        spec=cluster_spec,
-        cluster=cluster,
-        production=production,
-        requests=requests,
-        mobility=mobility,
-        churn=injector,
+        start=False,
     )
     return ClusterDomain(
         cluster_id=cluster_id,

@@ -1,8 +1,10 @@
 """Federation run specification: K edge clusters plus a fog tier.
 
-A :class:`FederationSpec` is to ``repro fed run`` what
+A :class:`FederationSpec` is to ``repro run --clusters K`` what
 :class:`~repro.sim.runner.ExperimentSpec` is to ``repro run``: the whole
-run as data.  Every per-cluster random stream — SWIM formation, layout /
+run as data, persisted into a durable run's manifest the same way
+(:func:`repro.persist.resume.spec_to_dict`; planted adversary classes
+refuse to serialise).  Every per-cluster random stream — SWIM formation, layout /
 mobility / allocation, the workload — is seeded from a value *derived*
 from the root seed and the cluster id, so the federation is a pure
 function of ``seed`` no matter how the shared engine interleaves the

@@ -1,8 +1,9 @@
 """Durable persistence: run journal, SQLite chain store, snapshots, resume.
 
 The paper's edge nodes churn, disconnect, and recover (Sections IV-C and
-IV-D); this package gives the *simulator itself* the same resilience.  A
-durable run directory holds four artefacts:
+IV-D); this package gives the *simulator itself* the same resilience,
+for single-cluster and federated runs alike.  A durable run directory
+holds four artefacts:
 
 * ``journal.jsonl`` — append-only, CRC-checked write-ahead journal of
   simulation events (:mod:`repro.persist.journal`);
@@ -13,8 +14,12 @@ durable run directory holds four artefacts:
 * ``manifest.json`` / ``metrics.json`` — run identity and final results
   (:mod:`repro.persist.resume`).
 
-``repro run --persist DIR`` and ``repro resume DIR`` are the CLI faces;
-:func:`run_persistent` / :func:`resume_run` the library ones.
+A federated run keeps the manifest, snapshots and metrics at the root
+and one journal + store (+ archive) per cluster under ``cluster-<k>/``.
+
+``repro run [--clusters K] --persist DIR`` and ``repro resume DIR`` are
+the CLI faces; :func:`run_persistent` / :func:`resume_run` the library
+ones.
 """
 
 from repro.persist.chainstore import ChainStore, STORE_SCHEMA_VERSION

@@ -13,7 +13,8 @@ Format (one self-contained JSON file per snapshot):
   :func:`~repro.core.serialization.storage_to_dict` wire format — a
   portable, inspectable view that never requires unpickling;
 * a **continuation blob**: the zlib-compressed pickle of the full
-  :class:`~repro.sim.runner.SimRuntime` object graph (CRC-protected),
+  runtime object graph — a :class:`~repro.sim.runner.SimRuntime` or a
+  :class:`~repro.federation.runtime.FederationRuntime` (CRC-protected),
   which is what actually resumes execution.  The runner guarantees this
   graph is picklable (module-level driver classes, no closures on the
   event queue).
@@ -43,7 +44,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import PersistError
-from repro.core.serialization import storage_to_dict
 from repro.sim.runner import SimRuntime
 
 PathLike = Union[str, Path]
@@ -90,55 +90,29 @@ def snapshot_paths(directory: PathLike) -> List[Path]:
     )
 
 
-def _state_card(runtime: Any) -> Tuple[int, str, int, Any, Dict[str, Any]]:
-    """(height, digest, node_count, seed, storages) for either runtime kind.
-
-    Federated runtimes expose the snapshot duck interface
-    (``snapshot_height`` / ``snapshot_digest`` / ``snapshot_storages``);
-    a ``SimRuntime`` derives the card from its reference chain.
-    """
-    if hasattr(runtime, "domains"):
-        return (
-            runtime.snapshot_height(),
-            runtime.snapshot_digest(),
-            runtime.spec.total_nodes,
-            runtime.spec.seed,
-            runtime.snapshot_storages(),
-        )
-    reference = runtime.cluster.longest_chain_node()
-    return (
-        reference.chain.height,
-        reference.chain.chain_digest(),
-        runtime.spec.node_count,
-        runtime.spec.seed,
-        {
-            str(node_id): storage_to_dict(runtime.cluster.nodes[node_id].storage)
-            for node_id in runtime.cluster.node_ids
-        },
-    )
-
-
 def write_snapshot(directory: PathLike, runtime: Any, retain: int = 2) -> Path:
     """Atomically write one snapshot; prunes all but the newest ``retain``.
 
-    Accepts a :class:`~repro.sim.runner.SimRuntime` or a
-    :class:`~repro.federation.runtime.FederationRuntime` (whose card
-    digest covers every cluster chain).
+    ``runtime`` is a :class:`~repro.sim.runner.SimRuntime` or a
+    :class:`~repro.federation.runtime.FederationRuntime`; both expose the
+    state card (``snapshot_height`` / ``snapshot_digest`` /
+    ``snapshot_storages``), whose digest covers every cluster chain.
     """
     if retain < 1:
         raise ValueError("must retain at least one snapshot")
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    height, digest, node_count, seed, storages = _state_card(runtime)
+    height = runtime.snapshot_height()
+    storages = runtime.snapshot_storages()
     blob = zlib.compress(pickle.dumps(runtime, protocol=pickle.HIGHEST_PROTOCOL))
     document: Dict[str, Any] = {
         "schema_version": SNAPSHOT_SCHEMA_VERSION,
         "clock": runtime.engine.now,
         "height": height,
-        "chain_digest": digest,
+        "chain_digest": runtime.snapshot_digest(),
         "rng_digest": _rng_digest(runtime),
-        "node_count": node_count,
-        "seed": seed,
+        "node_count": len(storages),
+        "seed": runtime.spec.seed,
         "storages": storages,
         "blob_crc": format(zlib.crc32(blob) & 0xFFFFFFFF, "08x"),
         "blob_bytes": len(blob),
@@ -212,10 +186,7 @@ def load_snapshot(path: PathLike) -> Tuple[Any, SnapshotInfo]:
             f"snapshot {path} clock {info.clock} does not match "
             f"restored engine clock {runtime.engine.now}"
         )
-    if isinstance(runtime, FederationRuntime):
-        restored_digest = runtime.snapshot_digest()
-    else:
-        restored_digest = runtime.cluster.longest_chain_node().chain.chain_digest()
+    restored_digest = runtime.snapshot_digest()
     if restored_digest != info.chain_digest:
         raise PersistError(
             f"snapshot {path} chain digest mismatch after restore "

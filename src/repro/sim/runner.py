@@ -23,11 +23,12 @@ The runner is split into three phases so the persistence subsystem
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import SystemConfig
+from repro.core.serialization import storage_to_dict
 from repro.metrics.collector import RunMetrics, collect_run_metrics
 from repro.obs import runtime as _obs
 from repro.sim.cluster import EdgeCluster, build_cluster
@@ -208,6 +209,24 @@ class SimRuntime:
     def finished(self) -> bool:
         return self.engine.now >= self.spec.duration_seconds
 
+    @property
+    def clusters(self) -> List[EdgeCluster]:
+        return [self.cluster]
+
+    # -- snapshot card (read by repro.persist.snapshot) ----------------------------
+
+    def snapshot_height(self) -> int:
+        return self.cluster.longest_chain_node().chain.height
+
+    def snapshot_digest(self) -> str:
+        return self.cluster.longest_chain_node().chain.chain_digest()
+
+    def snapshot_storages(self) -> Dict[str, Any]:
+        return {
+            str(node_id): storage_to_dict(self.cluster.nodes[node_id].storage)
+            for node_id in self.cluster.node_ids
+        }
+
 
 def build_runtime(spec: ExperimentSpec) -> SimRuntime:
     """Build the cluster, schedule the full workload, and arm mining."""
@@ -260,13 +279,31 @@ def _build_runtime(spec: ExperimentSpec) -> SimRuntime:
     cluster = build_cluster(
         spec.node_count, spec.config, seed=spec.seed, node_classes=spec.node_classes
     )
+    return wire_runtime(cluster, spec)
+
+
+def wire_runtime(
+    cluster: EdgeCluster,
+    spec: ExperimentSpec,
+    workload_rng: Optional[np.random.Generator] = None,
+    churn_rng: Optional[np.random.Generator] = None,
+    start_at: float = 0.0,
+    start: bool = True,
+) -> SimRuntime:
+    """Schedule workload, mobility epochs and churn on a built cluster.
+
+    The one wiring path for single-cluster runs and for every cluster of
+    a federation.  ``workload_rng`` and ``churn_rng`` default to the
+    engine's shared stream; ``start_at`` holds the workload back (see
+    :func:`attach_workload`); ``start=False`` leaves mining unarmed for a
+    caller that starts the cluster later.
+    """
     engine = cluster.engine
     duration = spec.duration_seconds
+    production, request_driver = attach_workload(
+        cluster, spec, rng=workload_rng, start_at=start_at
+    )
 
-    # --- workload: production + requests -------------------------------------
-    production, request_driver = attach_workload(cluster, spec)
-
-    # --- mobility epochs -------------------------------------------------------
     mobility: Optional[_MobilityDriver] = None
     if spec.mobility_epoch_minutes > 0:
         mobility = _MobilityDriver(
@@ -274,12 +311,12 @@ def _build_runtime(spec: ExperimentSpec) -> SimRuntime:
         )
         mobility.start()
 
-    # --- churn -------------------------------------------------------------------
     injector: Optional[ChurnInjector] = None
     if spec.churn is not None:
+        rng = churn_rng if churn_rng is not None else engine.np_rng
         churned_count = int(round(spec.churn.node_fraction * spec.node_count))
         churned_nodes = list(
-            engine.np_rng.choice(spec.node_count, size=churned_count, replace=False)
+            rng.choice(spec.node_count, size=churned_count, replace=False)
         )
         injector = ChurnInjector(engine, cluster.network, on_up=_ReconnectHook(cluster))
         injector.plan_random(
@@ -289,7 +326,8 @@ def _build_runtime(spec: ExperimentSpec) -> SimRuntime:
             events_per_node=spec.churn.events_per_node,
         )
 
-    cluster.start()
+    if start:
+        cluster.start()
     return SimRuntime(
         spec=spec,
         cluster=cluster,

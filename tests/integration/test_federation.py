@@ -21,10 +21,10 @@ from repro.chaos import ChaosSpec, run_chaos
 from repro.federation import (
     FederatedChaosSpec,
     FederationSpec,
-    resume_federation,
     run_federated_chaos,
     run_federation,
 )
+from repro.persist import PersistConfig, resume_run, run_persistent
 from repro.version import package_version
 from tests.helpers import make_config
 
@@ -118,16 +118,16 @@ class TestCrossClusterTraffic:
 class TestDurability:
     def test_kill_and_resume_matches_uninterrupted_run(self, tmp_path, small_run):
         spec = small_run.spec
-        partial = run_federation(
+        partial = run_persistent(
             spec,
-            persist_dir=tmp_path,
-            snapshot_every_seconds=60.0,
+            tmp_path,
+            PersistConfig(snapshot_every_seconds=60.0),
             stop_after_seconds=200.0,
         )
-        assert not partial.aggregate["finished"]
+        assert not partial.completed
         # The paused runtime is discarded here — resume must rebuild it
         # from the snapshot alone, exactly as after a process kill.
-        resumed = resume_federation(tmp_path, snapshot_every_seconds=60.0)
+        resumed = resume_run(tmp_path).result
         assert resumed.aggregate["finished"]
         assert (
             resumed.aggregate["chain_digests"]
