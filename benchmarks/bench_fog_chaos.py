@@ -15,13 +15,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.chaos import ChaosSpec, run_chaos
 from repro.core.config import PAPER_CONFIG
-from repro.federation import (
-    FOG_LOOKUP_SUCCESS_FLOOR,
-    FederatedChaosSpec,
-    FederationSpec,
-    run_federated_chaos,
-)
+from repro.federation import FOG_LOOKUP_SUCCESS_FLOOR, FederationSpec
 
 #: The attacked super-peer and when its window opens (simulated seconds).
 ADVERSARY_PEER = 0
@@ -39,8 +35,8 @@ def test_fog_chaos_headline(headline_sink, bench_seed):
     config = replace(
         PAPER_CONFIG, data_items_per_minute=2.0, expected_block_interval=30.0
     )
-    spec = FederatedChaosSpec(
-        federation=FederationSpec(
+    spec = ChaosSpec(
+        run=FederationSpec(
             cluster_count=3,
             nodes_per_cluster=4,
             config=config,
@@ -51,7 +47,7 @@ def test_fog_chaos_headline(headline_sink, bench_seed):
         fog_adversaries={"summary_poisoner": (ADVERSARY_PEER,)},
         start_minutes=ATTACK_START_MINUTES,
     )
-    result = run_federated_chaos(spec)
+    result = run_chaos(spec)
     fog = result.verdict["fog"]
 
     assert fog["ok"], f"fog containment violated: {fog}"
@@ -72,8 +68,8 @@ def test_fog_chaos_headline(headline_sink, bench_seed):
     cell = {
         "adversary": "summary_poisoner",
         "adversary_peer": ADVERSARY_PEER,
-        "clusters": spec.federation.cluster_count,
-        "super_peers": spec.federation.super_peer_count,
+        "clusters": spec.run.cluster_count,
+        "super_peers": spec.run.super_peer_count,
         "seed": bench_seed,
         "lookups_ok": fog["lookups_ok"],
         "lookups_failed": fog["lookups_failed"],

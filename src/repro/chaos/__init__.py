@@ -7,13 +7,20 @@ metadata, request floods — and checks that the admission-hardened
 protocol (see :mod:`repro.core.admission` and DESIGN.md §11) holds its
 safety and liveness invariants under them.
 
+One threat model covers both run kinds: inside a single cluster the
+adversaries are individual nodes; in a federation
+(:mod:`repro.federation`) they are whole Byzantine clusters or
+compromised fog super-peers, and the verdict adds the blast-radius and
+fog containment sections (:mod:`repro.federation.chaos`).
+
 * :mod:`repro.chaos.adversaries` — EdgeNode subclasses implementing each
   misbehavior, active inside a configured time window, runnable on both
   fabrics (simnet and live sockets);
 * :mod:`repro.chaos.scenario` — the seeded :class:`ChaosSpec` describing
-  one scenario (adversary mix, window, optional churn/partition overlay);
+  one scenario (the single-cluster or federated run, the adversary
+  overlay and its window, an optional partition/kill fault);
 * :mod:`repro.chaos.runner` — drives a scenario through the simulator or
-  the live harness;
+  the live harness (``repro chaos run [--clusters K]``);
 * :mod:`repro.chaos.verdict` — the end-of-run safety/liveness verdict.
 """
 

@@ -23,9 +23,10 @@ Commands:
   both runtimes must converge to the identical chain digest.
 * ``chaos run`` — a seeded Byzantine fault-injection scenario (adversary
   mix + optional churn/partition/kill overlay) on either fabric, ending
-  in a safety/liveness verdict (``chaos_verdict.json``).
-* ``fed chaos`` — turn whole federated clusters (or fog super-peers)
-  Byzantine and check the blast-radius verdict.
+  in a safety/liveness verdict (``chaos_verdict.json``).  ``--clusters
+  K`` runs it over a federation instead: whole clusters
+  (``--byzantine-cluster``) or fog super-peers (``--fog-behavior``) turn
+  Byzantine, and the verdict adds the blast-radius check.
 * ``trace summary`` / ``trace export`` / ``trace merge`` / ``trace
   flame`` — inspect and convert the observability artefacts a ``run
   --obs DIR`` leaves behind (``merge --trace-out`` stitches the
@@ -885,6 +886,14 @@ def cmd_live_node(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_ids(text: str, flag: str) -> tuple:
+    """Parse a comma-separated id list; empty parts are skipped."""
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise SystemExit(f"error: bad id list in {flag}")
+
+
 def _parse_adversaries(entries: List[str]) -> dict:
     """Parse repeated ``--adversary TYPE=ID[,ID...]`` flags."""
     from repro.chaos import ADVERSARY_TYPES
@@ -898,10 +907,7 @@ def _parse_adversaries(entries: List[str]) -> dict:
                 f"error: unknown adversary {behavior!r} "
                 f"(known: {', '.join(sorted(ADVERSARY_TYPES))})"
             )
-        try:
-            node_ids = tuple(int(part) for part in ids.split(",") if part.strip())
-        except ValueError:
-            raise SystemExit(f"error: bad node list in --adversary {entry!r}")
+        node_ids = _parse_ids(ids, f"--adversary {entry!r}")
         if not node_ids:
             raise SystemExit(
                 f"error: --adversary {entry!r} names no nodes "
@@ -909,6 +915,19 @@ def _parse_adversaries(entries: List[str]) -> dict:
             )
         adversaries[behavior] = adversaries.get(behavior, ()) + node_ids
     return adversaries
+
+
+def _fog_adversaries(args: argparse.Namespace) -> dict:
+    """``--fog-behavior NAME [--fog-peers IDS]`` as a behavior → peers map."""
+    if not args.fog_behavior:
+        if args.fog_peers:
+            raise SystemExit("error: --fog-peers requires --fog-behavior")
+        return {}
+    flag = f"--fog-peers {args.fog_peers!r}"
+    peers = _parse_ids(args.fog_peers, flag) if args.fog_peers else (0,)
+    if not peers:
+        raise SystemExit(f"error: {flag} names no super-peers")
+    return {args.fog_behavior: peers}
 
 
 def _chaos_spec(args: argparse.Namespace):
@@ -922,6 +941,13 @@ def _chaos_spec(args: argparse.Namespace):
         expected_block_interval=args.block_interval,
         verify_metadata_signatures=args.verify_signatures,
     )
+    if args.clusters < 1:
+        raise SystemExit("error: --clusters must be at least 1")
+    federated = args.clusters > 1
+    if not federated and args.behavior is not None:
+        raise SystemExit("error: --behavior needs --clusters K (K > 1)")
+    if federated and args.churn is not None:
+        raise SystemExit("error: --churn is single-cluster only")
     churn = ChurnSpec(node_fraction=args.churn) if args.churn is not None else None
     partition = None
     if args.partition:
@@ -941,20 +967,29 @@ def _chaos_spec(args: argparse.Namespace):
             at_minutes=args.kill_at,
             down_minutes=args.kill_down,
         )
-    try:
-        return ChaosSpec(
+    if federated:
+        run = _fed_spec(args, config)
+    else:
+        run = ExperimentSpec(
             node_count=args.nodes,
             config=config,
             seed=args.seed,
             duration_minutes=args.minutes,
+            churn=churn,
+        )
+    try:
+        return ChaosSpec(
+            run=run,
             adversaries=_parse_adversaries(args.adversary),
             start_minutes=args.start,
             stop_minutes=args.stop,
-            churn=churn,
             partition=partition,
             kill=kill,
             fabric=args.fabric,
             time_scale=args.time_scale,
+            byzantine_clusters=tuple(args.byzantine_cluster or ()),
+            behavior=args.behavior or "equivocator",
+            fog_adversaries=_fog_adversaries(args),
         )
     except ValueError as error:
         raise SystemExit(f"error: {error}")
@@ -976,6 +1011,21 @@ def _cmd_chaos_run_inner(args: argparse.Namespace) -> int:
     spec = _chaos_spec(args)
     result = run_chaos(spec)
     verdict = result.verdict
+    if spec.federated:
+        _print_fed_chaos_verdict(spec, verdict)
+    else:
+        _print_chaos_verdict(spec, args.minutes, verdict)
+    targets = []
+    if args.json:
+        targets.append(Path(args.json))
+    if args.obs:
+        targets.append(Path(args.obs) / CHAOS_VERDICT_NAME)
+    for target in targets:
+        print(f"wrote {result.write_verdict(target)}")
+    return 1 if verdict["status"] == "critical" else 0
+
+
+def _print_chaos_verdict(spec, minutes: float, verdict: dict) -> None:
     mix = (
         ", ".join(
             f"{behavior}={list(ids)}"
@@ -997,7 +1047,7 @@ def _cmd_chaos_run_inner(args: argparse.Namespace) -> int:
     print(
         render_table(
             f"Chaos: {spec.node_count} nodes on {spec.fabric}, "
-            f"{spec.duration_minutes:g} min, seed={spec.seed}",
+            f"{minutes:g} min, seed={spec.seed}",
             ["field", "value"],
             [
                 ["verdict", verdict["status"]],
@@ -1024,25 +1074,11 @@ def _cmd_chaos_run_inner(args: argparse.Namespace) -> int:
                 print(f"SAFETY: {field_name}: {safety[field_name]}", file=sys.stderr)
         if not safety["genesis_consistent"]:
             print("SAFETY: honest genesis blocks differ", file=sys.stderr)
-    targets = []
-    if args.json:
-        targets.append(Path(args.json))
-    if args.obs:
-        targets.append(Path(args.obs) / CHAOS_VERDICT_NAME)
-    for target in targets:
-        print(f"wrote {result.write_verdict(target)}")
-    return 1 if verdict["status"] == "critical" else 0
 
 
-def _fed_spec(args: argparse.Namespace, config=None):
+def _fed_spec(args: argparse.Namespace, config):
     from repro.federation import FederationSpec
 
-    if config is None:
-        config = replace(
-            PAPER_CONFIG,
-            data_items_per_minute=args.rate,
-            expected_block_interval=args.block_interval,
-        )
     try:
         return FederationSpec(
             cluster_count=args.clusters,
@@ -1118,43 +1154,7 @@ def _export_fed_json(aggregate: dict, json_path: Optional[str]) -> None:
     print(f"wrote {out}")
 
 
-def cmd_fed_chaos(args: argparse.Namespace) -> int:
-    session = _obs_enable(args, default_interval=args.block_interval)
-    try:
-        return _cmd_fed_chaos_inner(args)
-    finally:
-        if session is not None:
-            _obs_export(session, args)
-
-
-def _cmd_fed_chaos_inner(args: argparse.Namespace) -> int:
-    from repro.chaos.runner import CHAOS_VERDICT_NAME
-    from repro.federation import FederatedChaosSpec, run_federated_chaos
-
-    federation = _fed_spec(args)
-    fog_adversaries = {}
-    if args.fog_behavior:
-        peers = (
-            tuple(int(p) for p in args.fog_peers.split(","))
-            if args.fog_peers
-            else (0,)
-        )
-        fog_adversaries = {args.fog_behavior: peers}
-    elif args.fog_peers:
-        raise SystemExit("error: --fog-peers requires --fog-behavior")
-    try:
-        spec = FederatedChaosSpec(
-            federation=federation,
-            byzantine_clusters=tuple(args.byzantine_cluster or ()),
-            behavior=args.behavior,
-            start_minutes=args.start,
-            stop_minutes=args.stop,
-            fog_adversaries=fog_adversaries,
-        )
-    except ValueError as error:
-        raise SystemExit(f"error: {error}")
-    result = run_federated_chaos(spec)
-    verdict = result.verdict
+def _print_fed_chaos_verdict(spec, verdict: dict) -> None:
     blast = verdict["blast_radius"]
     siblings = (
         ", ".join(
@@ -1184,9 +1184,9 @@ def _cmd_fed_chaos_inner(args: argparse.Namespace) -> int:
     print()
     print(
         render_table(
-            f"Federated chaos: {federation.cluster_count} clusters x "
-            f"{federation.nodes_per_cluster} nodes, "
-            f"behavior={behavior_label}, seed={federation.seed}",
+            f"Federated chaos: {spec.run.cluster_count} clusters x "
+            f"{spec.node_count} nodes, "
+            f"behavior={behavior_label}, seed={spec.seed}",
             ["field", "value"],
             [
                 ["verdict", verdict["status"]],
@@ -1204,14 +1204,6 @@ def _cmd_fed_chaos_inner(args: argparse.Namespace) -> int:
             ],
         )
     )
-    targets = []
-    if args.json:
-        targets.append(Path(args.json))
-    if args.obs:
-        targets.append(Path(args.obs) / CHAOS_VERDICT_NAME)
-    for target in targets:
-        print(f"wrote {result.write_verdict(target)}")
-    return 1 if verdict["status"] == "critical" else 0
 
 
 def _trace_path(argument: str) -> Path:
@@ -1676,7 +1668,15 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="run one adversarial scenario and emit a safety/liveness verdict",
     )
-    chaos_run.add_argument("--nodes", type=int, default=8)
+    chaos_run.add_argument("--nodes", type=int, default=8,
+                           help="nodes (per cluster with --clusters K)")
+    chaos_run.add_argument(
+        "--clusters", type=int, default=1, metavar="K",
+        help="federate K clusters under a fog tier (default 1: one cluster)",
+    )
+    chaos_run.add_argument("--super-peers", type=int, default=2,
+                           help="with --clusters K: fog super-peers "
+                                "replicating the directory (default 2)")
     chaos_run.add_argument("--minutes", type=float, default=10.0)
     chaos_run.add_argument("--seed", type=int, default=0)
     chaos_run.add_argument(
@@ -1726,6 +1726,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="live only: wall seconds per simulated second (default 0.02)",
     )
     chaos_run.add_argument(
+        "--byzantine-cluster", type=int, action="append", metavar="ID",
+        help="with --clusters K: a cluster whose every node runs --behavior "
+             "(repeatable)",
+    )
+    chaos_run.add_argument(
+        "--behavior", default=None,
+        help="with --clusters K: adversary behavior for Byzantine clusters "
+             "(default equivocator)",
+    )
+    chaos_run.add_argument(
+        "--fog-behavior", default=None, metavar="NAME",
+        help="with --clusters K: fog-tier adversary behavior "
+             "(summary_poisoner, gossip_suppressor, version_inflator, "
+             "gateway_tamperer)",
+    )
+    chaos_run.add_argument(
+        "--fog-peers", default=None, metavar="IDS",
+        help="comma-separated super-peer ids running --fog-behavior "
+             "(default 0)",
+    )
+    chaos_run.add_argument(
         "--json", metavar="PATH", help="also write the verdict to this file"
     )
     chaos_run.add_argument(
@@ -1743,74 +1764,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: the expected block interval)",
     )
     chaos_run.set_defaults(func=cmd_chaos_run)
-
-    fed = sub.add_parser(
-        "fed", help="federated chaos: Byzantine clusters or fog super-peers"
-    )
-    fed_sub = fed.add_subparsers(dest="fed_command", required=True)
-
-    def _fed_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--clusters", type=int, default=4)
-        p.add_argument("--nodes", type=int, default=8,
-                       help="nodes per cluster")
-        p.add_argument("--minutes", type=float, default=10.0)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--super-peers", type=int, default=2,
-                       help="fog super-peers replicating the directory")
-        p.add_argument("--rate", type=float, default=1.0,
-                       help="data items per minute per cluster")
-        p.add_argument("--block-interval", type=float, default=60.0)
-        p.add_argument(
-            "--obs", metavar="DIR",
-            help="enable observability: trace, metrics, per-cluster timeline, "
-                 "and monitor verdict in DIR",
-        )
-        p.add_argument(
-            "--obs-timebase", choices=["wall", "sim"], default="wall",
-            help="timeline for the exported trace: real (wall) or simulated time",
-        )
-        p.add_argument(
-            "--obs-sample", type=float, metavar="SECONDS",
-            help="simulated seconds between protocol-timeline samples "
-                 "(default: the expected block interval)",
-        )
-
-    fed_chaos = fed_sub.add_parser(
-        "chaos",
-        help="turn whole clusters Byzantine and check the blast radius",
-    )
-    _fed_common(fed_chaos)
-    fed_chaos.add_argument(
-        "--byzantine-cluster", type=int, action="append", metavar="ID",
-        help="cluster whose every node runs the adversary (repeatable)",
-    )
-    fed_chaos.add_argument(
-        "--behavior", default="equivocator",
-        help="adversary behavior for Byzantine clusters (default equivocator)",
-    )
-    fed_chaos.add_argument(
-        "--start", type=float, default=2.0, metavar="MINUTES",
-        help="minutes into the run the misbehavior switches on (default 2)",
-    )
-    fed_chaos.add_argument(
-        "--stop", type=float, default=None, metavar="MINUTES",
-        help="minutes into the run the misbehavior switches off "
-             "(default: active to the end)",
-    )
-    fed_chaos.add_argument(
-        "--fog-behavior", default=None, metavar="NAME",
-        help="fog-tier adversary behavior (summary_poisoner, "
-             "gossip_suppressor, version_inflator, gateway_tamperer)",
-    )
-    fed_chaos.add_argument(
-        "--fog-peers", default=None, metavar="IDS",
-        help="comma-separated super-peer ids running --fog-behavior "
-             "(default 0)",
-    )
-    fed_chaos.add_argument(
-        "--json", metavar="PATH", help="also write the verdict to this file"
-    )
-    fed_chaos.set_defaults(func=cmd_fed_chaos)
 
     trace = sub.add_parser(
         "trace", help="inspect/convert observability artefacts from `run --obs`"

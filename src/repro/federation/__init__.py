@@ -17,8 +17,9 @@ deterministic sibling.  :mod:`repro.federation.adversaries` holds the
 fog-tier adversary catalogue the chaos harness runs against it.
 
 Entry points: ``repro run --clusters K`` (durable with ``--persist DIR``,
-continued by ``repro resume DIR``) and ``repro fed chaos`` on the CLI,
-:func:`run_federation` and friends here.
+continued by ``repro resume DIR``) and ``repro chaos run --clusters K``
+on the CLI, :func:`run_federation` and friends here (chaos scenarios run
+through :func:`repro.chaos.run_chaos`).
 """
 
 from repro.federation.adversaries import (
@@ -28,15 +29,11 @@ from repro.federation.adversaries import (
     GossipSuppressorPeer,
     SummaryPoisonerPeer,
     VersionInflatorPeer,
-    windowed_fog_class,
 )
 from repro.federation.chaos import (
     FOG_LOOKUP_SUCCESS_FLOOR,
-    FederatedChaosResult,
-    FederatedChaosSpec,
     compute_federated_verdict,
     compute_fog_section,
-    run_federated_chaos,
 )
 from repro.federation.directory import BloomFilter, ClusterSummary, DirectoryReplica
 from repro.federation.fog import (
@@ -71,8 +68,6 @@ __all__ = [
     "CrossLookupDriver",
     "FOG_ADVERSARY_TYPES",
     "FOG_LOOKUP_SUCCESS_FLOOR",
-    "FederatedChaosResult",
-    "FederatedChaosSpec",
     "FederationResult",
     "FederationRuntime",
     "FederationSpec",
@@ -92,7 +87,5 @@ __all__ = [
     "compute_fog_section",
     "derived_seed",
     "fog_ledger",
-    "run_federated_chaos",
     "run_federation",
-    "windowed_fog_class",
 ]

@@ -16,7 +16,7 @@ directory and the cross-cluster paths that trust it:
 
 All follow the node-adversary conventions: behavior is gated by the
 ``chaos_start``/``chaos_stop`` class-attribute window (baked into a
-dynamic subclass by :func:`windowed_fog_class`), outside the window the
+dynamic subclass by :func:`repro.chaos.scenario.fog_peer_classes_for`), outside the window the
 peer is bit-identical to an honest one, actions are counted in
 ``chaos_actions``, and **no adversary draws its own randomness** —
 forged payloads are pure functions of observed state and a local
@@ -198,22 +198,10 @@ class GatewayTampererPeer(FogAdversaryPeer):
         fog.engine.schedule(fog.spec.gossip_period_seconds, self._chaos_tamper)
 
 
-#: Registry used by the federated chaos spec / CLI.
+#: Registry used by the chaos spec / CLI (``--fog-behavior``).
 FOG_ADVERSARY_TYPES: Dict[str, type] = {
     "summary_poisoner": SummaryPoisonerPeer,
     "gossip_suppressor": GossipSuppressorPeer,
     "version_inflator": VersionInflatorPeer,
     "gateway_tamperer": GatewayTampererPeer,
 }
-
-
-def windowed_fog_class(
-    behavior: str, start_seconds: float, stop_seconds: float
-) -> type:
-    """A dynamic subclass of ``behavior`` with the window baked in."""
-    base = FOG_ADVERSARY_TYPES[behavior]
-    return type(
-        f"{base.__name__}Windowed",
-        (base,),
-        {"chaos_start": start_seconds, "chaos_stop": stop_seconds},
-    )

@@ -1,37 +1,29 @@
-"""Federation-aware chaos: whole-cluster adversaries and blast radius.
+"""Federated chaos verdict: blast radius and fog containment.
 
-The single-cluster chaos suite (:mod:`repro.chaos`) asks "did safety and
-liveness survive N adversaries *inside* the cluster?".  Federation adds a
-containment question: if an entire cluster turns Byzantine — every node
-running a windowed adversary class — does the damage stay inside it?
-The architecture says it must: clusters share no network plane, only the
-fog directory, and the directory carries summaries that sibling clusters
-never execute.  The **blast-radius check** pins that invariant: every
-sibling (non-Byzantine) cluster's end-of-run safety verdict, computed by
-the unchanged single-cluster :func:`repro.chaos.verdict.compute_verdict`,
+The single-cluster chaos verdict (:mod:`repro.chaos.verdict`) asks "did
+safety and liveness survive N adversaries *inside* the cluster?".
+Federation adds a containment question: if an entire cluster turns
+Byzantine — every node running a windowed adversary class — or a fog
+super-peer lies, does the damage stay contained?  The architecture says
+it must: clusters share no network plane, only the fog directory, and
+the directory carries summaries that sibling clusters never execute.
+The **blast-radius check** pins that invariant: every sibling
+(non-Byzantine) cluster's end-of-run safety verdict, computed by the
+unchanged single-cluster :func:`repro.chaos.verdict.compute_verdict`,
 must come back clean.
 
-The combined artifact is written under the same ``chaos_verdict.json``
-name the single-cluster harness uses, version-stamped the same way, with
-a ``blast_radius`` section on top of the per-cluster verdicts.
+The one chaos runner (:func:`repro.chaos.run_chaos`, ``repro chaos run
+--clusters K``) judges the clusters and hands the verdicts here.  The
+combined artifact is written under the same ``chaos_verdict.json`` name
+as a single-cluster verdict, version-stamped the same way, with
+``blast_radius`` and ``fog`` sections on top of the per-cluster verdicts.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict
 
-from repro.chaos.adversaries import ADVERSARY_TYPES
-from repro.chaos.scenario import ChaosSpec
-from repro.chaos.verdict import compute_verdict
-from repro.federation.adversaries import FOG_ADVERSARY_TYPES, windowed_fog_class
-from repro.federation.runner import FederationResult, run_federation
-from repro.federation.spec import FederationSpec
 from repro.version import package_version
-
-PathLike = Union[str, Path]
 
 FEDERATED_CHAOS_SCHEMA = "repro.chaos.federated/v1"
 
@@ -41,166 +33,37 @@ FEDERATED_CHAOS_SCHEMA = "repro.chaos.federated/v1"
 FOG_LOOKUP_SUCCESS_FLOOR = 0.5
 
 
-@dataclass(frozen=True)
-class FederatedChaosSpec:
-    """A federated run with whole-cluster adversary overlays."""
-
-    federation: FederationSpec
-    #: Clusters whose every node runs the adversary behavior.
-    byzantine_clusters: Tuple[int, ...] = ()
-    behavior: str = "equivocator"
-    start_minutes: float = 2.0
-    stop_minutes: Optional[float] = None  # default: end of run
-    #: Fog-tier adversaries: behavior name → super-peer ids running it
-    #: (same window as the node adversaries).
-    fog_adversaries: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.behavior not in ADVERSARY_TYPES:
-            known = ", ".join(sorted(ADVERSARY_TYPES))
-            raise ValueError(f"unknown behavior {self.behavior!r} (known: {known})")
-        for cluster_id in self.byzantine_clusters:
-            if not (0 <= cluster_id < self.federation.cluster_count):
-                raise ValueError(f"byzantine cluster {cluster_id} out of range")
-        if len(self.byzantine_clusters) >= self.federation.cluster_count:
-            raise ValueError("at least one cluster must stay honest")
-        if self.start_minutes < 0:
-            raise ValueError("adversary start must be non-negative")
-        if self.stop_minutes is not None and self.stop_minutes <= self.start_minutes:
-            raise ValueError("adversary stop must come after start")
-        compromised = set()
-        for fog_behavior, peer_ids in self.fog_adversaries.items():
-            if fog_behavior not in FOG_ADVERSARY_TYPES:
-                known = ", ".join(sorted(FOG_ADVERSARY_TYPES))
-                raise ValueError(
-                    f"unknown fog behavior {fog_behavior!r} (known: {known})"
-                )
-            for peer_id in peer_ids:
-                if not (0 <= peer_id < self.federation.super_peer_count):
-                    raise ValueError(f"fog peer {peer_id} out of range")
-                if peer_id in compromised:
-                    raise ValueError(f"fog peer {peer_id} assigned twice")
-                compromised.add(peer_id)
-        if compromised and len(compromised) >= self.federation.super_peer_count:
-            raise ValueError("at least one super-peer must stay honest")
-
-    @property
-    def stop_seconds(self) -> float:
-        if self.stop_minutes is not None:
-            return self.stop_minutes * 60.0
-        return self.federation.duration_seconds
-
-    def windowed_class(self) -> type:
-        """The behavior class bounded to the chaos window (sim fabric)."""
-        base = ADVERSARY_TYPES[self.behavior]
-        return type(
-            f"{base.__name__}Windowed",
-            (base,),
-            {
-                "chaos_start": self.start_minutes * 60.0,
-                "chaos_stop": self.stop_seconds,
-            },
-        )
-
-    @property
-    def fog_adversary_peers(self) -> Tuple[int, ...]:
-        """All compromised super-peer ids, sorted."""
-        return tuple(
-            sorted(
-                peer_id
-                for peer_ids in self.fog_adversaries.values()
-                for peer_id in peer_ids
-            )
-        )
-
-    def fog_peer_classes(self) -> Dict[int, type]:
-        """super-peer id → windowed adversary class for the fog tier."""
-        classes: Dict[int, type] = {}
-        for fog_behavior, peer_ids in self.fog_adversaries.items():
-            adversary = windowed_fog_class(
-                fog_behavior, self.start_minutes * 60.0, self.stop_seconds
-            )
-            for peer_id in peer_ids:
-                classes[peer_id] = adversary
-        return classes
-
-    def node_classes_by_cluster(self) -> Dict[int, Dict[int, type]]:
-        adversary = self.windowed_class()
-        return {
-            cluster_id: {
-                node_id: adversary
-                for node_id in range(self.federation.nodes_per_cluster)
-            }
-            for cluster_id in self.byzantine_clusters
-        }
-
-    def cluster_chaos_spec(self, cluster_id: int) -> ChaosSpec:
-        """The single-cluster ChaosSpec this cluster effectively ran."""
-        fed = self.federation
-        adversaries: Dict[str, Tuple[int, ...]] = {}
-        if cluster_id in self.byzantine_clusters:
-            adversaries = {
-                self.behavior: tuple(range(fed.nodes_per_cluster))
-            }
-        return ChaosSpec(
-            node_count=fed.nodes_per_cluster,
-            config=fed.config,
-            seed=fed.seed_for(cluster_id),
-            duration_minutes=fed.duration_seconds / 60.0,
-            adversaries=adversaries,
-            start_minutes=self.start_minutes,
-            stop_minutes=self.stop_seconds / 60.0,
-            fabric="sim",
-        )
-
-
-@dataclass
-class FederatedChaosResult:
-    """The run, its per-cluster verdicts, and the blast-radius check."""
-
-    spec: FederatedChaosSpec
-    run: FederationResult
-    verdict: Dict[str, Any]
-
-    def write_verdict(self, path: PathLike) -> Path:
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w", encoding="utf-8") as handle:
-            json.dump(self.verdict, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return target
-
-
 def compute_federated_verdict(
-    spec: FederatedChaosSpec, result: FederationResult
+    spec: Any,
+    verdicts: Dict[int, Dict[str, Any]],
+    runtime: Any,
+    aggregate: Dict[str, Any],
 ) -> Dict[str, Any]:
     """Per-cluster verdicts plus the blast-radius containment check.
 
-    Byzantine clusters are *sacrificed by construction* — with zero
-    honest members there is no honest invariant to evaluate, so they get
-    a marker entry instead of a verdict.  The blast radius is ``ok`` iff
-    every sibling cluster's safety section is clean.
+    ``spec`` is a federated :class:`~repro.chaos.scenario.ChaosSpec`,
+    ``verdicts`` maps each honest cluster id to its single-cluster
+    verdict, and ``runtime`` / ``aggregate`` are the finished federation
+    and its aggregate record.  Byzantine clusters are *sacrificed by
+    construction* — with zero honest members there is no honest invariant
+    to evaluate, so they get a marker entry instead of a verdict.  The
+    blast radius is ``ok`` iff every sibling cluster's safety section is
+    clean.
     """
-    clusters: Dict[str, Any] = {}
+    clusters: Dict[str, Any] = {
+        str(cluster_id): {
+            "status": "sacrificed",
+            "note": f"whole cluster ran {spec.behavior}; no honest invariant",
+        }
+        for cluster_id in spec.byzantine_clusters
+    }
     sibling_safety: Dict[str, bool] = {}
-    for domain in result.runtime.domains:
-        key = str(domain.cluster_id)
-        if domain.cluster_id in spec.byzantine_clusters:
-            clusters[key] = {
-                "status": "sacrificed",
-                "note": f"whole cluster ran {spec.behavior}; no honest invariant",
-            }
-            continue
-        verdict = compute_verdict(
-            spec.cluster_chaos_spec(domain.cluster_id), domain.cluster.nodes
-        )
-        clusters[key] = verdict
-        sibling_safety[key] = bool(verdict["safety"]["ok"])
+    for cluster_id, verdict in verdicts.items():
+        clusters[str(cluster_id)] = verdict
+        sibling_safety[str(cluster_id)] = bool(verdict["safety"]["ok"])
     blast_ok = all(sibling_safety.values()) if sibling_safety else False
-    sibling_statuses = [
-        clusters[key]["status"] for key in sibling_safety
-    ]
-    fog = compute_fog_section(spec, result)
+    sibling_statuses = [verdict["status"] for verdict in verdicts.values()]
+    fog = compute_fog_section(spec, runtime, aggregate)
     if not blast_ok or "critical" in sibling_statuses or not fog["ok"]:
         status = "critical"
     elif "warning" in sibling_statuses:
@@ -212,7 +75,7 @@ def compute_federated_verdict(
         "version": package_version(),
         "status": status,
         "behavior": spec.behavior,
-        "seed": spec.federation.seed,
+        "seed": spec.seed,
         "clusters": clusters,
         "blast_radius": {
             "ok": blast_ok,
@@ -224,7 +87,7 @@ def compute_federated_verdict(
 
 
 def compute_fog_section(
-    spec: FederatedChaosSpec, result: FederationResult
+    spec: Any, runtime: Any, aggregate: Dict[str, Any]
 ) -> Dict[str, Any]:
     """The fog containment section of the federated verdict.
 
@@ -242,8 +105,7 @@ def compute_fog_section(
     * **no honest super-peer quarantined** — scoring never turned on
       a peer that wasn't compromised.
     """
-    fog = result.runtime.fog
-    aggregate = result.aggregate
+    fog = runtime.fog
     adversary_peers = spec.fog_adversary_peers
     quarantined = sorted(fog.admission.quarantined)
     honest_quarantined = sorted(set(quarantined) - set(adversary_peers))
@@ -261,7 +123,7 @@ def compute_fog_section(
         if not fog.admission.is_quarantined(peer.peer_id)
     ]
     entries_complete = bool(active) and all(
-        len(peer.replica.entries) == spec.federation.cluster_count
+        len(peer.replica.entries) == spec.run.cluster_count
         for peer in active
     )
     replicas_converged = entries_complete and divergent == 0
@@ -303,22 +165,3 @@ def compute_fog_section(
             for peer_id, score in sorted(fog.admission.scores.items())
         },
     }
-
-
-def run_federated_chaos(spec: FederatedChaosSpec) -> FederatedChaosResult:
-    """Run the federation with the adversary overlay and judge containment."""
-    fed_spec = replace(
-        spec.federation,
-        node_classes_by_cluster=spec.node_classes_by_cluster(),
-        fog_peer_classes=spec.fog_peer_classes() or None,
-        # A Byzantine cluster's migrations would push tampered metadata at
-        # sibling gateways; with clusters sacrificed, lookups are expected
-        # to fail against them instead.  Fog-only chaos keeps migration on
-        # — driver-initiated pulls are part of what failover must protect.
-        migrate_fraction=(
-            0.0 if spec.byzantine_clusters else spec.federation.migrate_fraction
-        ),
-    )
-    result = run_federation(fed_spec)
-    verdict = compute_federated_verdict(spec, result)
-    return FederatedChaosResult(spec=spec, run=result, verdict=verdict)

@@ -159,13 +159,14 @@ def spec_from_dict(payload: Dict[str, Any]) -> Spec:
         raise PersistError(f"malformed {kind} spec: {error}") from error
 
 
-def _build(spec: Spec):
+def build_run(spec: Spec):
+    """Build the runtime for either run kind (the chaos runner shares this)."""
     if isinstance(spec, FederationSpec):
         return build_federation_runtime(spec)
     return build_runtime(spec)
 
 
-def _collect(runtime) -> Tuple[Union[ExperimentResult, FederationResult], Dict[str, Any]]:
+def collect_run(runtime) -> Tuple[Union[ExperimentResult, FederationResult], Dict[str, Any]]:
     """The run's result object and the record ``metrics.json`` holds."""
     if isinstance(runtime.spec, FederationSpec):
         result = collect_federation_metrics(runtime)
@@ -519,7 +520,7 @@ def _finalize(task: _PersistTask, runtime: Any):
                 f"in {journal.session.directory} — the journal and the "
                 "replay disagree"
             )
-    result, record = _collect(runtime)
+    result, record = collect_run(runtime)
     clock = runtime.engine.now
     tips = [journal.complete(clock) for journal in task.journals]
     _write_json_atomic(task.directory / METRICS_NAME, record)
@@ -570,7 +571,7 @@ def run_persistent(
                 "persist": asdict(persist),
             },
         )
-        runtime = _build(spec)
+        runtime = build_run(spec)
         for session, cluster in zip(sessions, runtime.clusters):
             session.journal.append(
                 REC_RUN_START,
@@ -699,7 +700,7 @@ def resume_run(
             resumed_from: Optional[float] = info.clock
         else:
             # No usable snapshot: deterministically replay from genesis.
-            runtime = _build(spec)
+            runtime = build_run(spec)
             task = _PersistTask(runtime, persist)
             runtime.persist_task = task
             task.start()

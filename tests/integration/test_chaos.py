@@ -38,10 +38,12 @@ class TestDeterminism:
     )
     def test_same_seed_same_verdict_and_digest(self, behavior):
         spec = ChaosSpec(
-            node_count=6,
-            config=chaos_config(),
-            seed=7,
-            duration_minutes=6.0,
+            run=ExperimentSpec(
+                node_count=6,
+                config=chaos_config(),
+                seed=7,
+                duration_minutes=6.0,
+            ),
             adversaries={behavior: (2,)},
         )
         first, second = run_twice(spec)
@@ -50,12 +52,14 @@ class TestDeterminism:
 
     def test_mixed_scenario_with_churn_deterministic(self):
         spec = ChaosSpec(
-            node_count=8,
-            config=chaos_config(),
-            seed=11,
-            duration_minutes=6.0,
+            run=ExperimentSpec(
+                node_count=8,
+                config=chaos_config(),
+                seed=11,
+                duration_minutes=6.0,
+                churn=ChurnSpec(node_fraction=0.25),
+            ),
             adversaries={"spammer": (3,), "flooder": (6,)},
-            churn=ChurnSpec(node_fraction=0.25),
         )
         first, second = run_twice(spec)
         assert first.verdict == second.verdict
@@ -67,7 +71,9 @@ class TestAdversaryFreeNeutrality:
         config = make_config()
         chaos = run_chaos(
             ChaosSpec(
-                node_count=8, config=config, seed=5, duration_minutes=10.0
+                run=ExperimentSpec(
+                    node_count=8, config=config, seed=5, duration_minutes=10.0
+                )
             )
         )
         plain = run_experiment(
@@ -87,10 +93,12 @@ class TestSafetyUnderAttack:
     def test_quarter_adversarial_network_holds_invariants(self):
         """8 nodes, 2 Byzantine (spammer + equivocator): safety must hold."""
         spec = ChaosSpec(
-            node_count=8,
-            config=chaos_config(),
-            seed=5,
-            duration_minutes=10.0,
+            run=ExperimentSpec(
+                node_count=8,
+                config=chaos_config(),
+                seed=5,
+                duration_minutes=10.0,
+            ),
             adversaries={"spammer": (3,), "equivocator": (6,)},
         )
         result = run_chaos(spec)
@@ -110,10 +118,12 @@ class TestSafetyUnderAttack:
 
     def test_flooder_is_quarantined_without_hurting_liveness(self):
         spec = ChaosSpec(
-            node_count=6,
-            config=chaos_config(),
-            seed=5,
-            duration_minutes=10.0,
+            run=ExperimentSpec(
+                node_count=6,
+                config=chaos_config(),
+                seed=5,
+                duration_minutes=10.0,
+            ),
             adversaries={"flooder": (2,)},
         )
         result = run_chaos(spec)
@@ -125,10 +135,12 @@ class TestSafetyUnderAttack:
 
     def test_tamperer_caught_by_signature_verification(self):
         spec = ChaosSpec(
-            node_count=6,
-            config=chaos_config(),
-            seed=5,
-            duration_minutes=10.0,
+            run=ExperimentSpec(
+                node_count=6,
+                config=chaos_config(),
+                seed=5,
+                duration_minutes=10.0,
+            ),
             adversaries={"tamperer": (2,)},
         )
         result = run_chaos(spec)
@@ -141,12 +153,14 @@ class TestSafetyUnderAttack:
 class TestLivenessUnderAttack:
     def test_spammer_with_churn_stays_non_critical(self):
         spec = ChaosSpec(
-            node_count=8,
-            config=chaos_config(),
-            seed=11,
-            duration_minutes=10.0,
+            run=ExperimentSpec(
+                node_count=8,
+                config=chaos_config(),
+                seed=11,
+                duration_minutes=10.0,
+                churn=ChurnSpec(node_fraction=0.25),
+            ),
             adversaries={"spammer": (3,)},
-            churn=ChurnSpec(node_fraction=0.25),
         )
         result = run_chaos(spec)
         assert result.status in ("ok", "warning")
@@ -169,10 +183,12 @@ class TestLiveChaos:
             expected_block_interval=30.0,
         )
         spec = ChaosSpec(
-            node_count=8,
-            config=config,
-            seed=5,
-            duration_minutes=6.0,
+            run=ExperimentSpec(
+                node_count=8,
+                config=config,
+                seed=5,
+                duration_minutes=6.0,
+            ),
             adversaries={"spammer": (5,)},
             kill=KillPlan(node_id=3, at_minutes=2.0, down_minutes=1.5),
             fabric="live",
@@ -202,19 +218,15 @@ class TestPoisonerPaths:
     @pytest.fixture
     def attacked(self):
         spec = ChaosSpec(
-            node_count=6,
-            config=chaos_config(),
-            seed=7,
-            duration_minutes=5.0,
+            run=ExperimentSpec(
+                node_count=6,
+                config=chaos_config(),
+                seed=7,
+                duration_minutes=5.0,
+            ),
             adversaries={"poisoner": (2,)},
         )
-        experiment = ExperimentSpec(
-            node_count=spec.node_count,
-            config=spec.config,
-            seed=spec.seed,
-            duration_minutes=spec.duration_minutes,
-            node_classes=node_classes_for(spec),
-        )
+        experiment = replace(spec.run, node_classes=node_classes_for(spec))
         runtime = build_runtime(experiment)
         runtime.engine.run_until(spec.duration_seconds)
         return runtime

@@ -18,13 +18,9 @@ import json
 import pytest
 
 from repro.chaos import ChaosSpec, run_chaos
-from repro.federation import (
-    FederatedChaosSpec,
-    FederationSpec,
-    run_federated_chaos,
-    run_federation,
-)
+from repro.federation import FederationSpec, run_federation
 from repro.persist import PersistConfig, resume_run, run_persistent
+from repro.sim.runner import ExperimentSpec
 from repro.version import package_version
 from tests.helpers import make_config
 
@@ -145,13 +141,13 @@ class TestDurability:
 class TestBlastRadius:
     @pytest.fixture(scope="class")
     def chaos_result(self):
-        spec = FederatedChaosSpec(
-            federation=fed_spec(clusters=3, nodes=4, seed=13, minutes=8.0),
+        spec = ChaosSpec(
+            run=fed_spec(clusters=3, nodes=4, seed=13, minutes=8.0),
             byzantine_clusters=(1,),
             behavior="equivocator",
             start_minutes=2.0,
         )
-        return run_federated_chaos(spec)
+        return run_chaos(spec)
 
     def test_byzantine_cluster_is_contained(self, chaos_result):
         verdict = chaos_result.verdict
@@ -175,10 +171,12 @@ class TestChaosVerdictVersionStamp:
     def test_single_cluster_chaos_verdict_carries_version(self, tmp_path):
         """Regression: chaos_verdict.json is stamped like verdict.json."""
         spec = ChaosSpec(
-            node_count=4,
-            config=make_config(),
-            seed=3,
-            duration_minutes=4.0,
+            run=ExperimentSpec(
+                node_count=4,
+                config=make_config(),
+                seed=3,
+                duration_minutes=4.0,
+            ),
             adversaries={},
         )
         result = run_chaos(spec)

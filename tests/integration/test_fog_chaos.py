@@ -11,12 +11,8 @@ must stay entirely quiet — zero charges, zero quarantines, fog ok.
 
 import pytest
 
-from repro.federation import (
-    FOG_LOOKUP_SUCCESS_FLOOR,
-    FederatedChaosSpec,
-    FederationSpec,
-    run_federated_chaos,
-)
+from repro.chaos import ChaosSpec, run_chaos
+from repro.federation import FOG_LOOKUP_SUCCESS_FLOOR, FederationSpec
 from tests.helpers import make_config
 
 pytestmark = pytest.mark.fog
@@ -38,8 +34,8 @@ def chaos_spec(fog_adversaries):
         duration_minutes=8.0,
         super_peer_count=2,
     )
-    return FederatedChaosSpec(
-        federation=federation,
+    return ChaosSpec(
+        run=federation,
         fog_adversaries=fog_adversaries,
         start_minutes=1.5,
     )
@@ -57,7 +53,7 @@ def chaos_spec(fog_adversaries):
 def solo_run(request):
     behavior = request.param
     spec = chaos_spec({behavior: (ADVERSARY_PEER,)})
-    return behavior, run_federated_chaos(spec)
+    return behavior, run_chaos(spec)
 
 
 class TestSoloAdversaries:
@@ -105,7 +101,7 @@ class TestSoloAdversaries:
 class TestHonestBaseline:
     @pytest.fixture(scope="class")
     def honest_run(self):
-        return run_federated_chaos(chaos_spec({}))
+        return run_chaos(chaos_spec({}))
 
     def test_no_defense_ever_fires(self, honest_run):
         fog = honest_run.verdict["fog"]

@@ -216,7 +216,9 @@ class TestCheckpointRewriteOnPrunedChain:
         config = make_config(expected_block_interval=10.0, **LC)
         result = run_chaos(
             ChaosSpec(
-                node_count=6, config=config, seed=5, duration_minutes=12.0
+                run=ExperimentSpec(
+                    node_count=6, config=config, seed=5, duration_minutes=12.0
+                )
             )
         )
         safety = result.verdict["safety"]
@@ -231,10 +233,12 @@ class TestCheckpointRewriteOnPrunedChain:
             **LC,
         )
         spec = ChaosSpec(
-            node_count=6,
-            config=config,
-            seed=7,
-            duration_minutes=12.0,
+            run=ExperimentSpec(
+                node_count=6,
+                config=config,
+                seed=7,
+                duration_minutes=12.0,
+            ),
             adversaries={"poisoner": (2,)},
         )
         first, second = run_chaos(spec), run_chaos(spec)
